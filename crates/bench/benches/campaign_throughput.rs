@@ -37,9 +37,8 @@ use rustfi::{
 };
 use rustfi_bench::{env_usize, zoo_config_for, QuickMode};
 use rustfi_nn::{zoo, Network, ZooConfig};
-use rustfi_tensor::pack::{matmul_packed_a, Epilogue, PackedA};
 use rustfi_tensor::qkernels::{matmul_i8_nt, matmul_i8_nt_portable};
-use rustfi_tensor::{kernels, matmul, matmul_into, parallel, tpool, SeededRng, Tensor};
+use rustfi_tensor::{kernels, matmul, parallel, tpool, SeededRng, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -143,76 +142,6 @@ fn bench_matmul_kernels(c: &mut Criterion, rows: &mut Vec<MatmulRow>) {
             n,
             baseline_s,
             blocked_s,
-        });
-    }
-    group.finish();
-}
-
-struct PackedMatmulRow {
-    m: usize,
-    k: usize,
-    n: usize,
-    unpacked_s: f64,
-    packed_s: f64,
-}
-
-/// The compiled-plan GEMM: weights pre-tiled into microkernel panels (the
-/// pack cost paid once at campaign setup) against the unpacked blocked
-/// kernel on the same im2col shapes. Both write into a preallocated output
-/// and accumulate in the same `kk` order, so the products are bit-identical
-/// — asserted after timing.
-fn bench_packed_matmul(c: &mut Criterion, rows: &mut Vec<PackedMatmulRow>) {
-    let mut rng = SeededRng::new(17);
-    let shapes = [
-        (64usize, 27usize, 1024usize),
-        (256, 1152, 256),
-        (512, 4608, 16),
-        (128, 512, 128),
-    ];
-    let iters = env_usize("RUSTFI_MATMUL_ITERS", 12);
-    let mut group = c.benchmark_group("packed_matmul_kernel");
-    group.sample_size(iters);
-    for (m, k, n) in shapes {
-        let a = Tensor::rand_normal(&[m, k], 0.0, 1.0, &mut rng);
-        let b = Tensor::rand_normal(&[k, n], 0.0, 1.0, &mut rng);
-        let pa = PackedA::pack(a.data(), m, k);
-        group.bench_with_input(BenchmarkId::new("unpacked", format!("{m}x{k}x{n}")), &(), {
-            let (a, b) = (a.clone(), b.clone());
-            let mut out = vec![0.0f32; m * n];
-            move |bch, ()| bch.iter(|| matmul_into(a.data(), b.data(), &mut out, m, k, n, true))
-        });
-        group.bench_with_input(BenchmarkId::new("packed", format!("{m}x{k}x{n}")), &(), {
-            let (pa, b) = (PackedA::pack(a.data(), m, k), b.clone());
-            let mut out = vec![0.0f32; m * n];
-            move |bch, ()| {
-                bch.iter(|| matmul_packed_a(&pa, b.data(), &mut out, n, &Epilogue::None, true))
-            }
-        });
-        let mut unpacked = vec![0.0f32; m * n];
-        let mut packed = vec![0.0f32; m * n];
-        let unpacked_s = time_mean(iters, || {
-            matmul_into(a.data(), b.data(), &mut unpacked, m, k, n, true)
-        });
-        let packed_s = time_mean(iters, || {
-            matmul_packed_a(&pa, b.data(), &mut packed, n, &Epilogue::None, true)
-        });
-        assert_eq!(
-            unpacked.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            packed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "packed GEMM diverged from the unpacked kernel"
-        );
-        println!(
-            "  packed {m}x{k}x{n}: unpacked {:.3} ms -> packed {:.3} ms ({:.2}x)",
-            unpacked_s * 1e3,
-            packed_s * 1e3,
-            unpacked_s / packed_s
-        );
-        rows.push(PackedMatmulRow {
-            m,
-            k,
-            n,
-            unpacked_s,
-            packed_s,
         });
     }
     group.finish();
@@ -767,7 +696,6 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
 
 fn write_json(
     matmul_rows: &[MatmulRow],
-    packed_matmul_rows: &[PackedMatmulRow],
     int8_matmul_rows: &[Int8MatmulRow],
     elemwise_rows: &[ElemwiseRow],
     steady_state_allocs: f64,
@@ -789,21 +717,6 @@ fn write_json(
                 r.baseline_s,
                 r.blocked_s,
                 r.baseline_s / r.blocked_s
-            )
-        })
-        .collect();
-    let packed_matmul_json: Vec<String> = packed_matmul_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"unpacked_s\": {:.6e}, \
-                 \"packed_s\": {:.6e}, \"speedup\": {:.3}}}",
-                r.m,
-                r.k,
-                r.n,
-                r.unpacked_s,
-                r.packed_s,
-                r.unpacked_s / r.packed_s
             )
         })
         .collect();
@@ -842,8 +755,6 @@ fn write_json(
          \x20 \"bench\": \"campaign_throughput\",\n\
          \x20 \"matmul\": [\n{}\n  ],\n\
          \x20 \"matmul_geomean_speedup\": {:.3},\n\
-         \x20 \"packed_matmul\": [\n{}\n  ],\n\
-         \x20 \"packed_vs_unpacked_geomean\": {:.3},\n\
          \x20 \"int8_matmul\": [\n{}\n  ],\n\
          \x20 \"int8_matmul_geomean_speedup\": {:.3},\n\
          \x20 \"int8_matmul_simd\": \"{}\",\n\
@@ -881,8 +792,6 @@ fn write_json(
          }}\n",
         matmul_json.join(",\n"),
         geomean(matmul_rows.iter().map(|r| r.baseline_s / r.blocked_s)),
-        packed_matmul_json.join(",\n"),
-        geomean(packed_matmul_rows.iter().map(|r| r.unpacked_s / r.packed_s)),
         int8_matmul_json.join(",\n"),
         geomean(
             int8_matmul_rows
@@ -928,8 +837,6 @@ fn bench_all(c: &mut Criterion) {
     let qm = QuickMode::from_env();
     let mut matmul_rows = Vec::new();
     bench_matmul_kernels(c, &mut matmul_rows);
-    let mut packed_matmul_rows = Vec::new();
-    bench_packed_matmul(c, &mut packed_matmul_rows);
     let mut int8_matmul_rows = Vec::new();
     bench_int8_matmul(c, &mut int8_matmul_rows);
     let mut elemwise_rows = Vec::new();
@@ -942,7 +849,6 @@ fn bench_all(c: &mut Criterion) {
     );
     write_json(
         &matmul_rows,
-        &packed_matmul_rows,
         &int8_matmul_rows,
         &elemwise_rows,
         steady_state_allocs,

@@ -17,9 +17,9 @@
 //!    kernels, thread-local `i8`/`i32` scratch), warmed passes must still
 //!    allocate nothing — the quantized fast path shares the zero-allocation
 //!    claim.
-//! 4. With a compiled forward plan on top (prepacked weight panels, fused
-//!    GEMM epilogues), warmed planned passes must also allocate nothing —
-//!    panel packing is a setup cost, never a steady-state one.
+//! 4. With a compiled forward plan on top (gather-plan lowering, fused
+//!    epilogues), warmed planned passes must also allocate nothing —
+//!    building the gather maps is a setup cost, never a steady-state one.
 //!
 //! Run with: `cargo run -p rustfi-bench --bin alloc_gate --release`
 
@@ -85,8 +85,8 @@ fn main() {
     println!("alloc_gate: planned      -> {planned:.1} allocations/pass");
     assert!(
         planned == 0.0,
-        "planned forward path allocated at steady state — panel packing must \
-         happen at warmup, not per pass ({planned:.3} allocations/pass)"
+        "planned forward path allocated at steady state — gather maps must be \
+         built at warmup, not per pass ({planned:.3} allocations/pass)"
     );
     println!("alloc_gate: ok — steady-state forward passes are allocation-free");
 }

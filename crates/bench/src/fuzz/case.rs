@@ -42,8 +42,8 @@ pub struct FuzzCase {
     pub pool_budget_bytes: usize,
     /// Shard count for the merge-invariance leg; `1` skips it.
     pub shards: usize,
-    /// Compiled forward plan (weight prepacking + fused GEMM epilogues)
-    /// for the accelerated run; the reference always runs unplanned.
+    /// Compiled forward plan (gather-plan lowering + fused epilogues) for
+    /// the accelerated run; the reference always runs unplanned.
     pub plan: bool,
 }
 

@@ -92,8 +92,8 @@ impl QuickMode {
 /// The CI perf-regression gate's comparison logic (see `src/bin/bench_gate`).
 ///
 /// The gate compares *within-run speedup ratios* — prefix-cache speedup,
-/// fused speedup, matmul kernel geomean, packed-vs-unpacked GEMM geomean,
-/// planned-vs-fused campaign rate — between a freshly measured
+/// fused speedup, matmul kernel geomean, planned-vs-fused campaign rate —
+/// between a freshly measured
 /// `BENCH_campaign.json` and the committed baseline. Ratios of two
 /// measurements taken on the same machine in the same run cancel out the
 /// machine's absolute speed, so the committed baseline stays meaningful on
@@ -143,12 +143,9 @@ pub mod gate {
     /// an empty return therefore means the files share no comparable metric.
     pub fn checks(baseline: &str, fresh: &str) -> Vec<Check> {
         let mut out = Vec::new();
-        let pairs: [(&'static str, Extract); 8] = [
+        let pairs: [(&'static str, Extract); 7] = [
             ("matmul_geomean_speedup", |t| {
                 json_f64(t, "matmul_geomean_speedup", 0)
-            }),
-            ("packed_vs_unpacked_geomean", |t| {
-                json_f64(t, "packed_vs_unpacked_geomean", 0)
             }),
             ("int8_matmul_geomean_speedup", |t| {
                 json_f64(t, "int8_matmul_geomean_speedup", 0)
@@ -182,11 +179,11 @@ pub mod gate {
     /// (pass = `ratio() >= 1.0`). Unlike the baseline-relative [`checks`],
     /// these pin a claim to a constant: the AVX2 int8 GEMM must beat its own
     /// portable compilation by at least 1.5x, and the compiled forward plan
-    /// (prepacked panels + fused GEMM epilogues) must beat the plain fused
+    /// (gather-plan lowering + fused epilogues) must beat the plain fused
     /// campaign by at least 1.25x — both within-run ratios, so still
     /// runner-speed independent. The floors only apply when the summary
-    /// says the AVX2 kernels actually dispatched; a portable-only host has
-    /// no microkernel for packing to feed and is skipped.
+    /// says the AVX2 kernels actually dispatched; portable-only hosts are
+    /// skipped.
     pub fn absolute_floors(fresh: &str) -> Vec<Check> {
         let mut out = Vec::new();
         if fresh.contains("\"int8_matmul_simd\": \"avx2\"") {
@@ -595,7 +592,6 @@ mod tests {
   "int8_matmul": [
     {"m": 1, "k": 2, "n": 3, "speedup": 9.999}
   ],
-  "packed_vs_unpacked_geomean": 1.300,
   "int8_matmul_geomean_speedup": 2.500,
   "int8_matmul_simd": "avx2",
   "elementwise_geomean_speedup": 1.500,
@@ -611,15 +607,14 @@ mod tests {
     #[test]
     fn gate_compares_int8_metrics_when_both_sides_have_them() {
         let checks = gate::checks(FAKE_BENCH_INT8, FAKE_BENCH_INT8);
-        assert_eq!(checks.len(), 8);
+        assert_eq!(checks.len(), 7);
         let by_name = |n: &str| checks.iter().find(|c| c.name == n).unwrap();
         // The int8 geomean key must not be confused with the f32 one.
         assert_eq!(by_name("int8_matmul_geomean_speedup").fresh, 2.5);
         assert_eq!(by_name("matmul_geomean_speedup").fresh, 2.0);
         assert_eq!(by_name("int8_fused_vs_f32").fresh, 1.2);
-        assert_eq!(by_name("packed_vs_unpacked_geomean").fresh, 1.3);
         assert_eq!(by_name("planned_fused_vs_f32_fused").fresh, 1.6);
-        // An old baseline without the int8/packing keys skips them, not fails.
+        // An old baseline without the int8/plan keys skips them, not fails.
         assert_eq!(gate::checks(FAKE_BENCH, FAKE_BENCH_INT8).len(), 4);
     }
 

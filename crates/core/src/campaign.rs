@@ -280,18 +280,16 @@ pub struct CampaignConfig {
     /// like the prefix cache — stands down when [`Self::max_steps`] is set,
     /// because the watchdog counts per-pass layer dispatches.
     pub fusion: Option<FusionConfig>,
-    /// Compiled forward plans: every network (golden and per-worker) packs
-    /// its layer weights into GEMM-microkernel panel layouts at campaign
-    /// setup and fuses bias + activation (+ folded inference batchnorm)
-    /// into the GEMM write-back. Purely a throughput optimization — trial
-    /// records are bit-identical with planning on or off (a property test
-    /// asserts this): packed accumulation preserves the serial `kk` order
-    /// and fused epilogues apply the exact per-element expressions of the
-    /// unfused layers. Layer groups carrying forward hooks (injection
-    /// targets, guards, profilers) automatically run unfused, and a weight
-    /// fault repacks only the perturbed layer's panel for that trial. The
-    /// golden / calibration pass additionally tiles its GEMM rows across
-    /// the otherwise idle worker cores.
+    /// Compiled forward plans: every network (golden and per-worker)
+    /// lowers convolution inputs through gather maps built once per input
+    /// shape, and fuses bias + activation (+ folded inference batchnorm)
+    /// into one pass over each GEMM's output. Purely a throughput
+    /// optimization — trial records are bit-identical with planning on or
+    /// off (a property test asserts this): the GEMM is the backend's usual
+    /// kernel on the layer's live weights, and fused epilogues apply the
+    /// exact per-element expressions of the unfused layers. Layer groups
+    /// carrying forward hooks (injection targets, guards, profilers)
+    /// automatically run unfused.
     pub plan: bool,
     /// Per-worker tensor-pool budget in bytes: each worker thread recycles
     /// retired activation buffers through a thread-local free list capped at
@@ -685,12 +683,6 @@ impl<'a> Campaign<'a> {
         let use_prefix = cfg.prefix_cache.is_some() && cfg.max_steps.is_none();
         let mut golden = FaultInjector::new((self.factory)(), FiConfig::for_input(&input_dims))?;
         golden.net_mut().set_plan(cfg.plan);
-        // With a compiled plan, the golden / calibration phase runs alone
-        // while every worker core idles — let its planned GEMMs tile rows
-        // across them. Scoped to this phase (the guard is thread-local and
-        // not inherited): trial workers parallelize across trials, where a
-        // within-pass split would only add sync overhead.
-        let wide = cfg.plan.then(rustfi_tensor::parallel::wide_scope);
         // Install the quantization regime before anything observes
         // activations: golden predictions, prefix snapshots, and trial
         // forwards all run under the same arithmetic. The INT8 calibration
@@ -810,7 +802,6 @@ impl<'a> Campaign<'a> {
             g.uninstall(golden.net());
         }
         drop(golden_guard);
-        drop(wide);
         // The golden injector already paid for a model build and a profiling
         // forward; recycle both. The profile feeds fusion planning and the
         // per-layer aggregation, and the injector itself is handed to the
@@ -1105,8 +1096,8 @@ fn build_worker(
         fi.set_recorder(Some(Arc::clone(l) as Arc<dyn Recorder>));
     }
     // A recycled golden injector arrives already planned; a fresh build
-    // packs its panels lazily at the first trial forward (setup cost, not
-    // steady state).
+    // builds its gather maps lazily at the first trial forward (setup cost,
+    // not steady state).
     fi.net_mut().set_plan(cfg.plan);
     match cfg.quant {
         QuantMode::Off => {}

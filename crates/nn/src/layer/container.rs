@@ -943,31 +943,52 @@ mod tests {
         Tensor::from_fn(&[2, 3, 6, 6], |i| (i as f32 * 0.41).cos())
     }
 
+    /// Planned-forward test inputs: the fusion-shape spine plus the zoo
+    /// models the campaign benchmark runs — VGG-19, ResNet-18 (residual
+    /// containers, conv→bn→relu groups inside them) and LeNet — each with
+    /// warmed batch-norm statistics and its own input batch.
+    fn plan_test_cases() -> Vec<(&'static str, Network, Tensor)> {
+        let mut cases = vec![("plan_test_net", plan_test_net(), plan_test_input())];
+        let cfg = crate::zoo::ZooConfig::tiny(10);
+        let dims = [2, cfg.in_channels, cfg.image_hw, cfg.image_hw];
+        for name in ["vgg19", "resnet18", "lenet"] {
+            let mut net = crate::zoo::by_name(name, &cfg).expect("zoo model");
+            net.set_training(true);
+            net.forward(&Tensor::from_fn(&[4, dims[1], dims[2], dims[3]], |i| {
+                (i as f32 * 0.29).sin() * 2.0
+            }));
+            net.set_training(false);
+            let x = Tensor::from_fn(&dims, |i| (i as f32 * 0.41).cos());
+            cases.push((name, net, x));
+        }
+        cases
+    }
+
     #[test]
     fn planned_forward_is_bit_identical_f32() {
-        let mut net = plan_test_net();
-        let x = plan_test_input();
-        let unplanned = net.forward(&x);
-        net.set_plan(true);
-        assert!(net.plan());
-        let cold = net.forward(&x);
-        let warm = net.forward(&x);
-        assert_eq!(cold, unplanned, "first planned pass (packs panels)");
-        assert_eq!(warm, unplanned, "warm planned pass");
+        for (name, mut net, x) in plan_test_cases() {
+            let unplanned = net.forward(&x);
+            net.set_plan(true);
+            assert!(net.plan());
+            let cold = net.forward(&x);
+            let warm = net.forward(&x);
+            assert_eq!(cold, unplanned, "{name}: first planned pass (builds plans)");
+            assert_eq!(warm, unplanned, "{name}: warm planned pass");
+        }
     }
 
     #[test]
     fn planned_forward_is_bit_identical_int8() {
         use crate::quantized::{Backend, CalibrationTable};
         use std::sync::Arc;
-        let mut net = plan_test_net();
-        let x = plan_test_input();
-        let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
-        net.set_backend(Backend::Int8(Arc::new(table)));
-        let unplanned = net.forward(&x);
-        net.set_plan(true);
-        assert_eq!(net.forward(&x), unplanned, "planned int8 pass");
-        assert_eq!(net.forward(&x), unplanned, "warm planned int8 pass");
+        for (name, mut net, x) in plan_test_cases() {
+            let table = CalibrationTable::calibrate(&mut net, std::slice::from_ref(&x));
+            net.set_backend(Backend::Int8(Arc::new(table)));
+            let unplanned = net.forward(&x);
+            net.set_plan(true);
+            assert_eq!(net.forward(&x), unplanned, "{name}: planned int8 pass");
+            assert_eq!(net.forward(&x), unplanned, "{name}: warm planned int8 pass");
+        }
     }
 
     #[test]
@@ -1019,8 +1040,8 @@ mod tests {
             v
         };
         let faulty = net.forward(&x);
-        assert_ne!(faulty, blessed, "stale panels would mask the fault");
-        // Exact undo: the repacked panels must reproduce the blessed pass
+        assert_ne!(faulty, blessed, "a stale weight copy would mask the fault");
+        // Exact undo: the restored weights must reproduce the blessed pass
         // bit for bit.
         net.layer_weight_mut(conv).unwrap().data_mut()[7] = original;
         assert_eq!(net.forward(&x), blessed, "undo restores blessed output");

@@ -5,7 +5,7 @@ use crate::module::{
 };
 use rustfi_tensor::{
     conv2d, conv2d_backward, conv2d_planned, conv2d_q, conv2d_q_planned, Act, BnFoldView, ConvSpec,
-    Im2colPlan, Im2rowPlan, PackedA, PackedI16, QTensor, SeededRng, Tensor,
+    Im2colPlan, Im2rowPlan, QTensor, SeededRng, Tensor,
 };
 
 /// A 2-D convolution with learned weights and bias.
@@ -24,19 +24,6 @@ pub struct Conv2d {
     /// Per-channel quantized weight cache for the INT8 backend; dropped
     /// whenever the f32 weights are handed out mutably.
     qweight: Option<QTensor>,
-    /// Compiled-plan f32 weight panels, one per group, pre-tiled for the
-    /// register-tiled GEMM. Pure functions of `weight`: when the weights are
-    /// handed out mutably the panels are marked stale and repacked *in
-    /// place* on the next planned forward — a weight-fault trial repacks
-    /// only this layer and its undo restores the blessed panel bytes
-    /// exactly, with no allocation.
-    packed: Vec<PackedA>,
-    packed_stale: bool,
-    /// Compiled-plan pre-widened `i16` panels derived from `qweight`, one
-    /// per group, for the INT8 GEMM. Stale whenever `qweight` is rebuilt or
-    /// handed out mutably.
-    wide: Vec<PackedI16>,
-    wide_stale: bool,
     /// Compiled-plan im2col gather map, built lazily for the input spatial
     /// shape the planned forward actually sees and rebuilt only when that
     /// shape changes. Pure geometry — weight faults never touch it.
@@ -79,10 +66,6 @@ impl Conv2d {
             spec,
             cached_input: None,
             qweight: None,
-            packed: Vec::new(),
-            packed_stale: false,
-            wide: Vec::new(),
-            wide_stale: false,
             gather: None,
             gather_q: None,
         }
@@ -98,57 +81,10 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Builds or refreshes the f32 GEMM panels. First build allocates
-    /// (campaign setup); stale refreshes repack in place.
-    fn ensure_packed(&mut self) {
-        let &[oc, cg, kh, kw] = self.weight.dims() else {
-            unreachable!("conv weights are rank 4");
-        };
-        let groups = self.spec.groups;
-        let (og, kcols) = (oc / groups, cg * kh * kw);
-        if self.packed.len() != groups {
-            self.packed.clear();
-            for g in 0..groups {
-                let slab = &self.weight.data()[g * og * kcols..][..og * kcols];
-                self.packed.push(PackedA::pack(slab, og, kcols));
-            }
-        } else if self.packed_stale {
-            for (g, pack) in self.packed.iter_mut().enumerate() {
-                pack.repack(&self.weight.data()[g * og * kcols..][..og * kcols]);
-            }
-        }
-        self.packed_stale = false;
-    }
-
-    /// Builds or refreshes the pre-widened INT8 panels from `qweight`
-    /// (quantizing the weights first if needed).
-    fn ensure_wide(&mut self) {
-        let qw = self
-            .qweight
-            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-        let &[oc, cg, kh, kw] = qw.dims() else {
-            unreachable!("conv qweights are rank 4");
-        };
-        let groups = self.spec.groups;
-        let (og, kcols) = (oc / groups, cg * kh * kw);
-        if self.wide.len() != groups {
-            self.wide.clear();
-            for g in 0..groups {
-                let slab = &qw.data()[g * og * kcols..][..og * kcols];
-                self.wide.push(PackedI16::widen(slab, og, kcols));
-            }
-        } else if self.wide_stale {
-            for (g, panel) in self.wide.iter_mut().enumerate() {
-                panel.rewiden(&qw.data()[g * og * kcols..][..og * kcols]);
-            }
-        }
-        self.wide_stale = false;
-    }
-
-    /// Planned forward shared by the plain and fused paths: prepacked
-    /// panels, partner epilogue in the GEMM write-back, no activation cache
-    /// (plans are inference-only; `backward` after a planned forward
-    /// panics).
+    /// Planned forward shared by the plain and fused paths: gather-plan
+    /// lowering, partner epilogue in one pass over the GEMM output, no
+    /// activation cache (plans are inference-only; `backward` after a
+    /// planned forward panics).
     fn forward_planned(
         &mut self,
         input: &Tensor,
@@ -164,32 +100,21 @@ impl Conv2d {
         let (kh, kw) = (self.weight.dims()[2], self.weight.dims()[3]);
         match ctx.input_scale(self.meta.id) {
             Some(scale) => {
-                self.ensure_wide();
                 if !self.gather_q.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
                     self.gather_q = Some(Im2rowPlan::build(cg, h, w, (kh, kw), &self.spec));
                 }
                 let plan = self.gather_q.as_ref().expect("plan built above");
-                let qw = self.qweight.as_ref().expect("ensure_wide builds qweight");
-                conv2d_q_planned(
-                    input, qw, &self.wide, plan, &self.bias, &self.spec, scale, bn, act,
-                )
+                let qw = self
+                    .qweight
+                    .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
+                conv2d_q_planned(input, qw, plan, &self.bias, &self.spec, scale, bn, act)
             }
             None => {
-                self.ensure_packed();
                 if !self.gather.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
                     self.gather = Some(Im2colPlan::build(cg, h, w, (kh, kw), &self.spec));
                 }
                 let plan = self.gather.as_ref().expect("plan built above");
-                conv2d_planned(
-                    input,
-                    &self.packed,
-                    (kh, kw),
-                    plan,
-                    &self.bias,
-                    &self.spec,
-                    bn,
-                    act,
-                )
+                conv2d_planned(input, &self.weight, plan, &self.bias, &self.spec, bn, act)
             }
         }
     }
@@ -288,8 +213,6 @@ impl Module for Conv2d {
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(Param {
             value: &mut self.weight,
             grad: &mut self.grad_weight,
@@ -302,16 +225,12 @@ impl Module for Conv2d {
 
     fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(&mut self.weight);
         f(&mut self.bias);
     }
 
     fn weight_mut(&mut self) -> Option<&mut Tensor> {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         Some(&mut self.weight)
     }
 
@@ -320,9 +239,6 @@ impl Module for Conv2d {
     }
 
     fn qweight_mut(&mut self) -> Option<&mut QTensor> {
-        // The caller may flip stored-INT8 bits in the returned words; the
-        // widened plan panels must be rebuilt from them.
-        self.wide_stale = true;
         Some(
             self.qweight
                 .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight)),

@@ -4,10 +4,7 @@ use crate::module::{
     leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param,
 };
 use rustfi_tensor::linalg::{self, matmul};
-use rustfi_tensor::{
-    linear_q, linear_q_planned, matmul_packed_b, Act, BnFoldView, Epilogue, PackedB, PackedI16,
-    QTensor, SeededRng, Tensor,
-};
+use rustfi_tensor::{linear_q, linear_q_planned, Act, BnFoldView, QTensor, SeededRng, Tensor};
 
 /// A fully-connected (dense) layer: `y = x W^T + b`.
 ///
@@ -28,15 +25,6 @@ pub struct Linear {
     /// Per-channel quantized weight cache for the INT8 backend; dropped
     /// whenever the f32 weights are handed out mutably.
     qweight: Option<QTensor>,
-    /// Compiled-plan `W^T` panels, pre-tiled for the register-tiled GEMM.
-    /// Built straight from the `[out, in]` weight layout (no transpose
-    /// scratch pass); marked stale and repacked in place, allocation-free,
-    /// when the weights are handed out mutably.
-    packed: Option<PackedB>,
-    packed_stale: bool,
-    /// Compiled-plan pre-widened `i16` panel derived from `qweight`.
-    wide: Option<PackedI16>,
-    wide_stale: bool,
 }
 
 impl Linear {
@@ -53,10 +41,6 @@ impl Linear {
             cached_input: None,
             wt_scratch: None,
             qweight: None,
-            packed: None,
-            packed_stale: false,
-            wide: None,
-            wide_stale: false,
         }
     }
 
@@ -65,66 +49,27 @@ impl Linear {
         &self.weight
     }
 
-    /// Builds or refreshes the `W^T` GEMM panels (in place when stale).
-    fn ensure_packed(&mut self) {
-        let (out_f, _in_f) = self.weight.dims2();
-        match &mut self.packed {
-            Some(p) if self.packed_stale => p.repack_transposed(self.weight.data()),
-            Some(_) => {}
-            None => {
-                let (_, in_f) = self.weight.dims2();
-                self.packed = Some(PackedB::pack_transposed(self.weight.data(), out_f, in_f));
-            }
-        }
-        self.packed_stale = false;
-    }
-
-    /// Builds or refreshes the pre-widened INT8 panel from `qweight`.
-    fn ensure_wide(&mut self) {
-        let qw = self
-            .qweight
-            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-        let (out_f, in_f) = (qw.dims()[0], qw.dims()[1]);
-        match &mut self.wide {
-            Some(p) if self.wide_stale => p.rewiden(qw.data()),
-            Some(_) => {}
-            None => self.wide = Some(PackedI16::widen(qw.data(), out_f, in_f)),
-        }
-        self.wide_stale = false;
-    }
-
-    /// Planned forward shared by the plain and fused paths: prepacked `W^T`
-    /// panels, bias + activation in the GEMM write-back, no activation
-    /// cache (plans are inference-only).
-    fn forward_planned(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>, act: Act) -> Tensor {
-        let (batch, in_f) = input.dims2();
-        let (out_f, w_in) = self.weight.dims2();
+    fn check_features(&self, input: &Tensor) {
+        let (_, in_f) = input.dims2();
+        let (_, w_in) = self.weight.dims2();
         assert_eq!(
             in_f, w_in,
             "linear layer {} expects {} features, got {}",
             self.meta.name, w_in, in_f
         );
+    }
+
+    /// Planned INT8 forward shared by the plain and fused paths: the
+    /// quantized GEMM on `qweight`, then dequantize + bias + activation in
+    /// one pass over its output, no activation cache (plans are
+    /// inference-only). Planned f32 forwards take the unplanned path.
+    fn forward_q_planned(&mut self, input: &Tensor, scale: f32, act: Act) -> Tensor {
+        self.check_features(input);
         self.cached_input = None;
-        match ctx.input_scale(self.meta.id) {
-            Some(scale) => {
-                self.ensure_wide();
-                let qw = self.qweight.as_ref().expect("ensure_wide builds qweight");
-                let panel = self.wide.as_ref().expect("ensure_wide builds the panel");
-                linear_q_planned(input, qw, panel, &self.bias, scale, act)
-            }
-            None => {
-                self.ensure_packed();
-                let panel = self.packed.as_ref().expect("ensure_packed builds panels");
-                // The epilogue writes every output element exactly once.
-                let mut out = Tensor::from_pool(&[batch, out_f]);
-                let ep = Epilogue::PerCol {
-                    bias: self.bias.data(),
-                    act,
-                };
-                matmul_packed_b(input.data(), panel, out.data_mut(), batch, &ep, true);
-                out
-            }
-        }
+        let qw = self
+            .qweight
+            .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
+        linear_q_planned(input, qw, &self.bias, scale, act)
     }
 }
 
@@ -156,18 +101,14 @@ impl Module for Linear {
     }
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        if ctx.plan_active() {
-            let mut out = self.forward_planned(input, ctx, Act::None);
+        if let Some(scale) = ctx.input_scale(self.meta.id).filter(|_| ctx.plan_active()) {
+            let mut out = self.forward_q_planned(input, scale, Act::None);
             ctx.run_forward_hooks(&self.meta, LayerKind::Linear, &mut out);
             return out;
         }
+        self.check_features(input);
         let (batch, in_f) = input.dims2();
-        let (out_f, w_in) = self.weight.dims2();
-        assert_eq!(
-            in_f, w_in,
-            "linear layer {} expects {} features, got {}",
-            self.meta.name, w_in, in_f
-        );
+        let (out_f, _) = self.weight.dims2();
         rustfi_tensor::tpool::reuse_slot(&mut self.cached_input, input.dims())
             .data_mut()
             .copy_from_slice(input.data());
@@ -208,11 +149,14 @@ impl Module for Linear {
         bn: Option<BnFoldView<'_>>,
         act: Act,
     ) -> Option<Tensor> {
-        // Linear outputs are 2-D; a BatchNorm2d partner cannot apply.
+        // Linear outputs are 2-D; a BatchNorm2d partner cannot apply. Only
+        // the INT8 path fuses: an f32 linear's bias + activation run over a
+        // small `[batch, out_features]` output, so it keeps plain dispatch.
         if !ctx.plan_active() || bn.is_some() {
             return None;
         }
-        Some(self.forward_planned(input, ctx, act))
+        let scale = ctx.input_scale(self.meta.id)?;
+        Some(self.forward_q_planned(input, scale, act))
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
@@ -236,8 +180,6 @@ impl Module for Linear {
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(Param<'_>)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(Param {
             value: &mut self.weight,
             grad: &mut self.grad_weight,
@@ -250,16 +192,12 @@ impl Module for Linear {
 
     fn for_each_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         f(&mut self.weight);
         f(&mut self.bias);
     }
 
     fn weight_mut(&mut self) -> Option<&mut Tensor> {
         self.qweight = None;
-        self.packed_stale = true;
-        self.wide_stale = true;
         Some(&mut self.weight)
     }
 
@@ -268,9 +206,6 @@ impl Module for Linear {
     }
 
     fn qweight_mut(&mut self) -> Option<&mut QTensor> {
-        // The caller may flip stored-INT8 bits in the returned words; the
-        // widened plan panel must be rebuilt from them.
-        self.wide_stale = true;
         Some(
             self.qweight
                 .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight)),

@@ -107,18 +107,18 @@ pub struct Param<'a> {
 pub type CaptureFn<'a> = &'a mut dyn FnMut(LayerId, &Tensor);
 
 /// How a layer can be absorbed into the preceding conv/linear layer's fused
-/// GEMM epilogue when a compiled forward plan is active.
+/// epilogue when a compiled forward plan is active.
 ///
 /// Layers advertise themselves via [`Module::fuse_partner`]; [`Sequential`]
 /// scans its children for `conv → [BatchNorm] → [activation]` (or
-/// `linear → [activation]`) runs and folds the partners into the leader's
-/// write-back loop. The epilogue replicates the partner kernels' per-element
+/// `linear → [activation]`) runs and folds the partners into one epilogue
+/// pass over the leader's GEMM output. The epilogue replicates the partner kernels' per-element
 /// operations exactly, so fused and unfused passes are bit-identical.
 ///
 /// [`Sequential`]: crate::layer::container::Sequential
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FusePartner {
-    /// `y = max(x, 0)` applied in the GEMM write-back.
+    /// `y = max(x, 0)` applied in the epilogue.
     Relu,
     /// Leaky ReLU with the given negative-side slope.
     LeakyRelu(f32),
@@ -141,8 +141,8 @@ pub struct ForwardCtx<'a> {
     capture: Option<CaptureFn<'a>>,
     /// Arithmetic backend for layers that have a quantized kernel.
     backend: &'a Backend,
-    /// Whether the pass runs under a compiled forward plan (prepacked weight
-    /// panels + fused GEMM epilogues). See [`Network::set_plan`].
+    /// Whether the pass runs under a compiled forward plan (gather-plan
+    /// lowering + fused epilogues). See [`Network::set_plan`].
     plan: bool,
 }
 
@@ -166,7 +166,7 @@ impl<'a> ForwardCtx<'a> {
         }
     }
 
-    /// Whether layers should take their planned (prepacked, fused-epilogue)
+    /// Whether layers should take their planned (gather-plan, fused-epilogue)
     /// forward paths. Plans are inference-only: training passes need cached
     /// activations and batch statistics, so they always run unplanned.
     pub fn plan_active(&self) -> bool {
@@ -221,7 +221,7 @@ impl<'a> ForwardCtx<'a> {
 
     /// Fused-group analogue of [`ForwardCtx::forward_child`]: runs `child`
     /// (a conv/linear group leader) with the partner batch-norm fold and
-    /// activation applied inside its GEMM write-back, firing the capture tap
+    /// activation applied in its epilogue pass, firing the capture tap
     /// and recorder span exactly as a normal child dispatch would. Returns
     /// `None` when the child has no fused forward (default [`Module`]
     /// implementation); the caller then falls back to normal dispatch and
@@ -490,8 +490,8 @@ pub trait Module: Send {
     }
 
     /// Planned fused forward: computes this layer with the partner batch
-    /// norm and activation applied inside the GEMM write-back loop, using
-    /// prepacked weight panels. Only called by containers under an active
+    /// norm and activation applied in one epilogue pass over its GEMM
+    /// output. Only called by containers under an active
     /// plan after verifying that no group member has forward hooks; the
     /// fused path therefore skips hook dispatch. Returns `None` (the
     /// default) when the layer has no fused implementation, in which case
@@ -605,14 +605,14 @@ impl Network {
         }
     }
 
-    /// Enables (or disables) the compiled forward plan: per-layer weight
-    /// panels are prepacked for the register-tiled GEMM kernels, and
-    /// `conv → [bn] → [activation]` runs in [`Sequential`] containers fuse
-    /// into a single GEMM with the partner ops applied in its write-back
-    /// loop.
+    /// Enables (or disables) the compiled forward plan: convolutions lower
+    /// their inputs through a precomputed gather map instead of per-element
+    /// index arithmetic, and `conv → [bn] → [activation]` runs in
+    /// [`Sequential`] containers fuse into one GEMM followed by a single
+    /// epilogue pass that applies the partner ops.
     ///
-    /// Planned passes are **bit-identical** to unplanned ones (panels keep
-    /// the kernels' k-accumulation order; epilogues replicate the partner
+    /// Planned passes are **bit-identical** to unplanned ones (the GEMM is
+    /// the same kernel on the same weights; epilogues replicate the partner
     /// kernels' per-element ops) and **inference-only**: training passes
     /// always run unplanned, and a planned forward does not cache the
     /// activations `backward` needs. Groups with forward hooks on any member

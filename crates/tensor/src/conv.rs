@@ -5,8 +5,8 @@
 //! the only convolution variants the model zoo needs.
 
 use crate::linalg::{matmul_into, transpose_into};
-use crate::pack::{matmul_packed_a, Act, BnFoldView, Epilogue, GatherPlan, PackedA};
 use crate::parallel;
+use crate::plan::{per_row_epilogue, Act, BnFoldView, GatherPlan};
 use crate::tensor::Tensor;
 
 /// Threshold (in multiply–accumulate operations) above which [`conv2d`]
@@ -350,7 +350,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
 /// Compiled im2col plan: a [`GatherPlan`] lowering one batch element's
 /// group slice (`[cg, h, w]`, contiguous in NCHW) into the
 /// `[cg*kh*kw, oh*ow]` im2col matrix that [`conv2d_planned`] feeds its
-/// packed GEMM.
+/// GEMM.
 ///
 /// The map depends only on the convolution geometry and the input spatial
 /// shape — not on the group index or batch element — so one plan serves
@@ -412,35 +412,27 @@ impl Im2colPlan {
     }
 }
 
-/// 2-D convolution through a compiled plan: pre-packed per-group weight
-/// panels, a precomputed [`Im2colPlan`] gather in place of per-element
-/// im2col index arithmetic, and a fused epilogue (bias, optional folded
-/// batch-norm, optional activation) applied in the GEMM write-back.
+/// 2-D convolution through a compiled plan: a precomputed [`Im2colPlan`]
+/// gather in place of per-element im2col index arithmetic, the ordinary
+/// [`matmul_into`] on each group's weight slab, and one in-place epilogue
+/// pass (bias, optional folded batch-norm, optional activation) over the
+/// GEMM output.
 ///
 /// Produces bit-identical results to [`conv2d`] followed by the standalone
-/// batch-norm/activation kernels: the packed GEMM preserves per-element
-/// `kk`-increasing accumulation, and the epilogue replicates the serial
-/// per-element op order (see [`crate::pack`]). Unlike [`conv2d`] there is no
-/// intermediate product buffer — the epilogue writes each output element
-/// exactly once, directly into the output tensor.
+/// batch-norm/activation kernels: the GEMM is the same kernel on the same
+/// operands, and the epilogue replicates the serial per-element op order
+/// (see [`crate::plan`]). Unlike [`conv2d`] there is no intermediate
+/// product buffer — the GEMM writes straight into the output tensor.
 ///
-/// - `packs`: one [`PackedA`] per group, each packing the group's
-///   `[oc/groups, (c/groups)*kh*kw]` weight slab
-/// - `kernel`: `(kh, kw)` of the packed filters
+/// - `weight`: `[oc, c/groups, kh, kw]`
 /// - `plan`: the gather plan for this input's group-slice shape
-///
-/// Inside a [`parallel::wide_scope`] (the campaign's golden pass) the
-/// per-sample GEMMs fan their row panels across the idle worker fleet.
 ///
 /// # Panics
 ///
-/// Panics if shapes, the spec, the packed panels, and the gather plan are
-/// inconsistent.
-#[allow(clippy::too_many_arguments)]
+/// Panics if shapes, the spec, and the gather plan are inconsistent.
 pub fn conv2d_planned(
     input: &Tensor,
-    packs: &[PackedA],
-    kernel: (usize, usize),
+    weight: &Tensor,
     plan: &Im2colPlan,
     bias: &Tensor,
     spec: &ConvSpec,
@@ -448,53 +440,43 @@ pub fn conv2d_planned(
     act: Act,
 ) -> Tensor {
     crate::opcount::count_conv2d();
+    check_conv_args(input, weight, bias, spec);
     let (n, c, h, w) = input.dims4();
-    let (kh, kw) = kernel;
-    assert_eq!(packs.len(), spec.groups, "one packed panel set per group");
+    let (oc, _, kh, kw) = weight.dims4();
     let cg = c / spec.groups;
+    let og = oc / spec.groups;
     let kcols = cg * kh * kw;
-    let og = packs[0].rows();
-    for p in packs {
-        assert_eq!(p.rows(), og, "group panel row mismatch");
-        assert_eq!(p.k(), kcols, "group panel k mismatch");
-    }
-    let oc = og * spec.groups;
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let ohw = oh * ow;
     assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
     assert_eq!(plan.map.len(), kcols * ohw, "gather plan size mismatch");
-    let bdata = bias.data();
-    assert_eq!(bdata.len(), oc, "bias length != out_channels");
     if let Some(f) = &bn {
         assert_eq!(f.mean.len(), oc, "bn fold length != out_channels");
     }
     let chw = c * h * w;
     let ghw = cg * h * w;
     let in_data = input.data();
+    let wdata = weight.data();
+    let bdata = bias.data();
 
-    // Epilogue writes every element exactly once, so pool-stale contents are
-    // fine.
+    // The GEMM overwrites every element, so pool-stale contents are fine.
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
     let run_batch = |bn_idx: usize, out_bn: &mut [f32], cols: &mut [f32], inner_parallel: bool| {
-        for (g, pack) in packs.iter().enumerate() {
+        for g in 0..spec.groups {
             plan.map
                 .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols);
-            let ep = Epilogue::PerRow {
-                bias: bdata,
-                bn,
-                act,
-                row0: g * og,
-            };
+            let wslab = &wdata[g * og * kcols..(g + 1) * og * kcols];
             let out_g = &mut out_bn[g * og * ohw..(g + 1) * og * ohw];
-            matmul_packed_a(pack, cols, out_g, ohw, &ep, inner_parallel);
+            matmul_into(wslab, cols, out_g, og, kcols, ohw, inner_parallel);
+            per_row_epilogue(out_g, ohw, g * og, bdata, bn, act);
         }
     };
 
     let total_macs = n * oc * ohw * kcols;
-    if !parallel::wide_mode() && n > 1 && total_macs >= PARALLEL_BATCH_MACS {
+    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
         parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
             with_conv_scratch(kcols * ohw, 0, |cols, _| {
                 for i in 0..items {
@@ -772,15 +754,6 @@ mod tests {
         conv2d(&x, &w, &b, &ConvSpec::new().groups(2));
     }
 
-    fn pack_groups(w: &Tensor, groups: usize) -> Vec<PackedA> {
-        let (oc, cg, kh, kw) = w.dims4();
-        let og = oc / groups;
-        let kcols = cg * kh * kw;
-        (0..groups)
-            .map(|g| PackedA::pack(&w.data()[g * og * kcols..(g + 1) * og * kcols], og, kcols))
-            .collect()
-    }
-
     #[test]
     fn planned_conv_is_bit_identical_to_conv2d() {
         let mut rng = SeededRng::new(31);
@@ -797,9 +770,8 @@ mod tests {
             let w = Tensor::rand_normal(&[oc, c / groups, 3, 3], 0.0, 0.5, &mut rng);
             let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
             let plain = conv2d(&x, &w, &b, &spec);
-            let packs = pack_groups(&w, groups);
             let plan = Im2colPlan::build(c / groups, hw, hw, (3, 3), &spec);
-            let planned = conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::None);
+            let planned = conv2d_planned(&x, &w, &plan, &b, &spec, None, Act::None);
             assert_eq!(planned.dims(), plain.dims());
             for (p, q) in planned.data().iter().zip(plain.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
@@ -818,18 +790,11 @@ mod tests {
         for v in serial.data_mut() {
             *v = v.max(0.0);
         }
-        let packs = pack_groups(&w, 1);
         let plan = Im2colPlan::build(3, 7, 7, (3, 3), &spec);
-        let fused = conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::Relu);
+        let fused = conv2d_planned(&x, &w, &plan, &b, &spec, None, Act::Relu);
         for (p, q) in fused.data().iter().zip(serial.data()) {
             assert_eq!(p.to_bits(), q.to_bits());
         }
-        // The wide (golden-pass) path fans GEMM rows but must keep the bits.
-        let wide = {
-            let _g = parallel::wide_scope();
-            conv2d_planned(&x, &packs, (3, 3), &plan, &b, &spec, None, Act::Relu)
-        };
-        assert_eq!(wide.data(), fused.data());
     }
 
     /// Numeric gradient check of the analytic backward pass.

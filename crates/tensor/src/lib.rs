@@ -21,7 +21,9 @@
 //!   stored-`i8` tensors with quantized conv/linear kernels ([`qkernels`],
 //!   [`qtensor`]),
 //! - a thread-local buffer recycling pool for allocation-free steady-state
-//!   forward passes ([`tpool`]).
+//!   forward passes ([`tpool`]),
+//! - compiled forward plans: precomputed im2col/im2row gathers and fused
+//!   bias/batch-norm/activation epilogues ([`plan`]).
 //!
 //! # Example
 //!
@@ -40,8 +42,8 @@ pub mod kernels;
 pub mod linalg;
 pub mod opcount;
 pub mod ops;
-pub mod pack;
 pub mod parallel;
+pub mod plan;
 pub mod pool;
 pub mod qkernels;
 pub mod qtensor;
@@ -53,14 +55,11 @@ pub mod tpool;
 
 pub use conv::{conv2d, conv2d_backward, conv2d_planned, Conv2dGrads, ConvSpec, Im2colPlan};
 pub use linalg::{matmul, matmul_into, transpose_into};
-pub use pack::{
-    matmul_packed_a, matmul_packed_b, Act, BnFoldView, Epilogue, GatherPlan, PackedA, PackedB,
-    PackedI16,
-};
+pub use plan::{Act, BnFoldView, GatherPlan};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };
-pub use qkernels::{matmul_i8_nt, matmul_i8_nt_wa, matmul_i8_nt_wb};
+pub use qkernels::matmul_i8_nt;
 pub use qtensor::{conv2d_q, conv2d_q_planned, linear_q, linear_q_planned, Im2rowPlan, QTensor};
 pub use resize::{resize_map, upsample_nearest, zero_pad2d};
 pub use rng::SeededRng;

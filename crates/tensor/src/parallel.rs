@@ -10,41 +10,8 @@
 //! panic hook's stderr spew for that thread, so a deliberately isolated
 //! panicking trial neither kills the worker nor floods the terminal.
 
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-thread_local! {
-    static WIDE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII guard returned by [`wide_scope`]; restores the previous mode on drop.
-#[must_use = "wide mode ends when the guard drops"]
-pub struct WideGuard {
-    prev: bool,
-}
-
-impl Drop for WideGuard {
-    fn drop(&mut self) {
-        WIDE.with(|w| w.set(self.prev));
-    }
-}
-
-/// Marks this thread as running a *wide* phase: a stretch where the rest of
-/// the worker fleet is idle (the campaign's golden/calibration pass), so
-/// kernels should fan even sub-threshold work across all cores. The flag is
-/// thread-local — threads spawned inside the scope do not inherit it, which
-/// is exactly right: their work was already fanned out by the parent.
-pub fn wide_scope() -> WideGuard {
-    WideGuard {
-        prev: WIDE.with(|w| w.replace(true)),
-    }
-}
-
-/// Whether this thread is inside a [`wide_scope`].
-pub fn wide_mode() -> bool {
-    WIDE.with(Cell::get)
-}
 
 /// Number of worker threads to use (cached; at least 1).
 pub fn worker_count() -> usize {
@@ -93,53 +60,6 @@ where
         return;
     }
     let per = items.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut start = 0;
-        while start < items {
-            let take = per.min(items - start);
-            let (head, tail) = rest.split_at_mut(take * item_width);
-            rest = tail;
-            let fref = &f;
-            let item_start = start;
-            scope.spawn(move || fref(item_start, take, head));
-            start += take;
-        }
-    });
-}
-
-/// Like [`for_each_chunk_mut`], but rounds each chunk's item count up to a
-/// multiple of `align`, so every chunk *starts* on an `align`-item boundary.
-/// Tiled kernels (packed GEMM panels) use this so workers always begin on a
-/// panel edge.
-///
-/// # Panics
-///
-/// Panics if `item_width == 0` or `align == 0`, if `out.len()` is not a
-/// multiple of `item_width`, or if a worker panics.
-pub fn for_each_chunk_mut_aligned<F>(out: &mut [f32], item_width: usize, align: usize, f: F)
-where
-    F: Fn(usize, usize, &mut [f32]) + Sync,
-{
-    assert!(item_width > 0, "item_width must be positive");
-    assert!(align > 0, "align must be positive");
-    assert_eq!(
-        out.len() % item_width,
-        0,
-        "output length {} is not a multiple of item width {}",
-        out.len(),
-        item_width
-    );
-    let items = out.len() / item_width;
-    if items == 0 {
-        return;
-    }
-    let workers = worker_count().min(items.div_ceil(align));
-    if workers <= 1 {
-        f(0, items, out);
-        return;
-    }
-    let per = items.div_ceil(workers).div_ceil(align) * align;
     std::thread::scope(|scope| {
         let mut rest = out;
         let mut start = 0;

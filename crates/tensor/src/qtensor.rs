@@ -19,10 +19,10 @@
 //! forwards allocate nothing.
 
 use crate::conv::ConvSpec;
-use crate::pack::{Act, BnFoldView, GatherPlan, PackedI16};
+use crate::plan::{Act, BnFoldView, GatherPlan};
 use crate::qkernels::{
-    dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt, matmul_i8_nt_wa,
-    matmul_i8_nt_wb, quantize_slice, requantize_slice, scale_for_max_abs, slice_max_abs_finite,
+    dequant_bias_row, dequant_bias_rows, dequantize_slice, matmul_i8_nt, quantize_slice,
+    requantize_slice, scale_for_max_abs, slice_max_abs_finite,
 };
 use crate::tensor::Tensor;
 
@@ -255,7 +255,7 @@ fn im2row_i8(
 /// Compiled im2row plan: a [`GatherPlan`] lowering one quantized sample's
 /// group slice (`[cg, h, w]` of `i8` words, contiguous) into the
 /// `[oh*ow, cg*kh*kw]` im2row matrix that [`conv2d_q_planned`] feeds its
-/// pre-widened integer GEMM. The INT8 analogue of
+/// integer GEMM. The INT8 analogue of
 /// [`Im2colPlan`](crate::conv::Im2colPlan): same geometry-only build, same
 /// bit-identity to the on-the-fly `im2row_i8` lowering, transposed
 /// destination layout.
@@ -428,24 +428,24 @@ fn dequant_epilogue_row(
     }
 }
 
-/// Quantized 2-D convolution through a compiled plan: the weight slabs are
-/// pre-widened to `i16` panels ([`PackedI16`], one per group) and the
+/// Quantized 2-D convolution through a compiled plan: a precomputed
+/// [`Im2rowPlan`] gather replaces the per-element im2row index arithmetic,
+/// [`matmul_i8_nt`] runs on each group's stored weight slab, and the
 /// dequantize + bias + optional batch-norm + activation chain is fused into
-/// the write-back loop.
+/// one write-back pass per output row.
 ///
 /// Bit-identical to [`conv2d_q`] followed by the standalone batch-norm /
-/// activation kernels: widening is exact, integer accumulation is exact, and
-/// the fused epilogue replicates the serial per-element op order.
+/// activation kernels: integer accumulation is exact, and the fused
+/// epilogue replicates the serial per-element op order.
 ///
 /// # Panics
 ///
-/// Panics if shapes, the spec, the panels, or `input_scale` are
+/// Panics if shapes, the spec, the gather plan, or `input_scale` are
 /// inconsistent.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_q_planned(
     input: &Tensor,
     qweight: &QTensor,
-    panels: &[PackedI16],
     plan: &Im2rowPlan,
     bias: &Tensor,
     spec: &ConvSpec,
@@ -464,7 +464,6 @@ pub fn conv2d_q_planned(
     assert_eq!(wc, c / spec.groups, "weight channel mismatch");
     assert_eq!(bias.len(), oc, "bias length != out_channels");
     assert!(input_scale > 0.0, "input scale must be positive");
-    assert_eq!(panels.len(), spec.groups, "one widened panel per group");
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let cg = c / spec.groups;
@@ -472,10 +471,6 @@ pub fn conv2d_q_planned(
     let kcols = cg * kh * kw;
     let ohw = oh * ow;
     let chw = c * h * w;
-    for p in panels {
-        assert_eq!(p.rows(), og, "panel row mismatch");
-        assert_eq!(p.k(), kcols, "panel k mismatch");
-    }
     assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
     assert_eq!(plan.map.len(), ohw * kcols, "gather plan size mismatch");
     let ghw = cg * h * w;
@@ -494,24 +489,17 @@ pub fn conv2d_q_planned(
                 input_scale,
                 qin,
             );
-            for (g, panel) in panels.iter().enumerate() {
+            for g in 0..spec.groups {
                 plan.map.gather(&qin[g * ghw..(g + 1) * ghw], rows);
-                matmul_i8_nt_wa(panel, rows, acc, ohw);
+                let wslab = &qweight.data()[g * og * kcols..(g + 1) * og * kcols];
+                matmul_i8_nt(wslab, rows, acc, og, kcols, ohw);
                 for o in 0..og {
                     let oc_idx = g * og + o;
-                    let bnc = bn.map(|f| {
-                        (
-                            f.mean[oc_idx],
-                            f.inv_std[oc_idx],
-                            f.gamma[oc_idx],
-                            f.beta[oc_idx],
-                        )
-                    });
                     dequant_epilogue_row(
                         &acc[o * ohw..(o + 1) * ohw],
                         input_scale * qweight.channel_scale(oc_idx),
                         bdata[oc_idx],
-                        bnc,
+                        bn.map(|f| f.channel(oc_idx)),
                         act,
                         &mut out_bn[oc_idx * ohw..(oc_idx + 1) * ohw],
                     );
@@ -541,19 +529,19 @@ pub fn conv2d_q_planned(
     out
 }
 
-/// Quantized linear layer through a compiled plan: pre-widened weight rows
-/// and a fused dequantize + bias + activation write-back. Bit-identical to
+/// Quantized linear layer through a compiled plan: the plain integer GEMM
+/// on the stored weights, then one fused dequantize + bias + activation
+/// write-back pass. Bit-identical to
 /// [`linear_q`] followed by the standalone activation kernel — including the
 /// per-tensor-scale path, which replicates `dequant_bias_row(.., 0.0)`
 /// followed by the separate bias add exactly.
 ///
 /// # Panics
 ///
-/// Panics if shapes, the panel, or `input_scale` are inconsistent.
+/// Panics if shapes or `input_scale` are inconsistent.
 pub fn linear_q_planned(
     input: &Tensor,
     qweight: &QTensor,
-    panel: &PackedI16,
     bias: &Tensor,
     input_scale: f32,
     act: Act,
@@ -565,13 +553,11 @@ pub fn linear_q_planned(
     assert_eq!(w_in, in_f, "weight expects {w_in} inputs, got {in_f}");
     assert_eq!(bias.len(), out_f, "bias length != out_features");
     assert!(input_scale > 0.0, "input scale must be positive");
-    assert_eq!(panel.rows(), out_f, "panel row mismatch");
-    assert_eq!(panel.k(), in_f, "panel k mismatch");
 
     let mut out = Tensor::from_pool(&[batch, out_f]);
     with_q_scratch(batch * in_f, 0, batch * out_f, |qx, _rows, acc| {
         quantize_slice(input.data(), input_scale, qx);
-        matmul_i8_nt_wb(qx, panel, acc, batch);
+        matmul_i8_nt(qx, qweight.data(), acc, batch, in_f, out_f);
         let bdata = bias.data();
         if qweight.is_per_channel() {
             let scales = qweight.scales();
@@ -870,13 +856,6 @@ mod tests {
             let b = Tensor::rand_normal(&[4], 0.0, 0.1, &mut rng);
             let qw = QTensor::quantize_per_channel(&w);
             let scale = 0.02f32;
-            let og = 4 / spec.groups;
-            let kcols = (4 / spec.groups) * 9;
-            let panels: Vec<PackedI16> = (0..spec.groups)
-                .map(|g| {
-                    PackedI16::widen(&qw.data()[g * og * kcols..(g + 1) * og * kcols], og, kcols)
-                })
-                .collect();
 
             // Serial chain: conv2d_q then a standalone ReLU pass.
             let mut serial = conv2d_q(&x, &qw, &b, &spec, scale);
@@ -884,8 +863,7 @@ mod tests {
                 *v = v.max(0.0);
             }
             let plan = Im2rowPlan::build(4 / spec.groups, 6, 6, (3, 3), &spec);
-            let fused =
-                conv2d_q_planned(&x, &qw, &panels, &plan, &b, &spec, scale, None, Act::Relu);
+            let fused = conv2d_q_planned(&x, &qw, &plan, &b, &spec, scale, None, Act::Relu);
             assert_eq!(fused.dims(), serial.dims());
             for (p, q) in fused.data().iter().zip(serial.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
@@ -904,12 +882,11 @@ mod tests {
             QTensor::quantize_per_channel(&w),
             QTensor::quantize_per_tensor(&w),
         ] {
-            let panel = PackedI16::widen(qw.data(), 6, 10);
             let mut serial = linear_q(&x, &qw, &b, scale);
             for v in serial.data_mut() {
                 *v = v.max(0.0);
             }
-            let fused = linear_q_planned(&x, &qw, &panel, &b, scale, Act::Relu);
+            let fused = linear_q_planned(&x, &qw, &b, scale, Act::Relu);
             for (p, q) in fused.data().iter().zip(serial.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
             }

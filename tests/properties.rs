@@ -405,9 +405,10 @@ proptest! {
         }
     }
 
-    /// Compiled forward plans — weight prepacking into GEMM panel layouts,
-    /// fused bias/activation/batchnorm epilogues, and per-trial panel
-    /// repacks under weight faults — are purely a throughput optimization:
+    /// Compiled forward plans — gather-plan lowering and fused
+    /// bias/activation/batchnorm epilogues, with weight faults landing in
+    /// the live weights the planned GEMM reads — are purely a throughput
+    /// optimization (the name predates the removal of weight prepacking):
     /// for every generated architecture, fault mode, quantization regime,
     /// guard mode, thread count, fusion width, and prefix-cache setting,
     /// a planned campaign's records are bit-identical to the unplanned run.
