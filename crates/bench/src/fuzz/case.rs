@@ -96,7 +96,7 @@ impl FuzzCase {
         }
     }
 
-    /// The single-threaded, unfused, uncached, unpooled reference
+    /// The single-threaded, unplanned, unfused, uncached, unpooled reference
     /// configuration every differential leg compares against.
     pub fn reference_config(&self) -> rustfi::CampaignConfig {
         rustfi::CampaignConfig {
@@ -106,6 +106,7 @@ impl FuzzCase {
             quant: self.quant,
             guard: self.guard,
             pool_budget_bytes: 0,
+            plan: false,
             ..rustfi::CampaignConfig::default()
         }
     }

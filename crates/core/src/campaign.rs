@@ -280,16 +280,23 @@ pub struct CampaignConfig {
     /// like the prefix cache — stands down when [`Self::max_steps`] is set,
     /// because the watchdog counts per-pass layer dispatches.
     pub fusion: Option<FusionConfig>,
-    /// Compiled forward plans: every network (golden and per-worker)
-    /// lowers convolution inputs through gather maps built once per input
-    /// shape, and fuses bias + activation (+ folded inference batchnorm)
-    /// into one pass over each GEMM's output. Purely a throughput
-    /// optimization — trial records are bit-identical with planning on or
-    /// off (a property test asserts this): the GEMM is the backend's usual
-    /// kernel on the layer's live weights, and fused epilogues apply the
-    /// exact per-element expressions of the unfused layers. Layer groups
-    /// carrying forward hooks (injection targets, guards, profilers)
-    /// automatically run unfused.
+    /// Compiled forward plans, **on by default**: every network (golden
+    /// and per-worker) lowers convolution inputs through gather maps built
+    /// once per input shape, and fuses bias + activation (+ folded inference
+    /// batchnorm) into one pass over each GEMM's output. Purely a
+    /// throughput optimization — trial records are bit-identical with
+    /// planning on or off (a property test asserts this): the GEMM is the
+    /// backend's usual kernel on the layer's live weights, and fused
+    /// epilogues apply the exact per-element expressions of the unfused
+    /// layers. Layer groups carrying forward hooks (injection targets,
+    /// guards, watchdog, profilers) automatically run unfused.
+    ///
+    /// `false` selects the unplanned reference path — on-the-fly lowering,
+    /// one pass per layer, input caches kept — which differential tests
+    /// compare against. Campaigns never run `backward`, so they can skip the
+    /// caches; a bare [`rustfi_nn::Network`] keeps planning off by default
+    /// because its eval-mode backward consumers (saliency, Grad-CAM, FGSM)
+    /// need them.
     pub plan: bool,
     /// Per-worker tensor-pool budget in bytes: each worker thread recycles
     /// retired activation buffers through a thread-local free list capped at
@@ -318,7 +325,7 @@ impl Default for CampaignConfig {
             max_steps: None,
             prefix_cache: None,
             fusion: None,
-            plan: false,
+            plan: true,
             pool_budget_bytes: 128 << 20,
             recorder: None,
             progress: None,
@@ -2041,6 +2048,7 @@ mod tests {
             seed: 13,
             threads: Some(2),
             guard: GuardMode::Record,
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2180,6 +2188,7 @@ mod tests {
             trials: 48,
             seed: 21,
             threads: Some(3),
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2253,6 +2262,7 @@ mod tests {
                 seed: 23,
                 threads: Some(2),
                 guard,
+                plan: false,
                 ..CampaignConfig::default()
             };
             let plain = campaign.run(&cfg).unwrap();
@@ -2316,6 +2326,7 @@ mod tests {
             trials: 32,
             seed: 25,
             threads: Some(2),
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2351,6 +2362,7 @@ mod tests {
             trials: 40,
             seed: 26,
             threads: Some(2),
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2393,6 +2405,7 @@ mod tests {
             trials: 48,
             seed: 31,
             threads: Some(1),
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2448,6 +2461,7 @@ mod tests {
             trials: 40,
             seed: 32,
             threads: Some(2),
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2499,6 +2513,7 @@ mod tests {
                 seed: 33,
                 threads: Some(2),
                 guard,
+                plan: false,
                 ..CampaignConfig::default()
             };
             let plain = campaign.run(&cfg).unwrap();
@@ -2593,6 +2608,7 @@ mod tests {
             seed: 35,
             threads: Some(2),
             quant: QuantMode::Simulated,
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2624,6 +2640,7 @@ mod tests {
             seed: 37,
             threads: Some(1),
             quant: QuantMode::Int8,
+            plan: false,
             ..CampaignConfig::default()
         };
         let serial = campaign.run(&cfg).unwrap();
@@ -2653,6 +2670,7 @@ mod tests {
             seed: 38,
             threads: Some(2),
             quant: QuantMode::Int8,
+            plan: false,
             ..CampaignConfig::default()
         };
         let plain = campaign.run(&cfg).unwrap();
@@ -2733,6 +2751,52 @@ mod tests {
         // fused among themselves, never mixed with replayed history.
         let stats = resumed.fusion.unwrap();
         assert_eq!(stats.fused_trials + stats.serial_trials, 19);
+    }
+
+    /// The default campaign runs the compiled plan; its records must equal
+    /// the unplanned reference path's on VGG-19 neuron faults, ResNet-18
+    /// INT8 weight faults and LeNet.
+    #[test]
+    fn default_plan_matches_the_unplanned_reference_on_zoo_models() {
+        use crate::models::BitFlipFp32;
+        assert!(CampaignConfig::default().plan);
+        let images = images();
+        let fp32 = || Arc::new(BitFlipFp32::new(BitSelect::Random)) as Arc<dyn PerturbationModel>;
+        let int8 = Arc::new(BitFlipInt8::new(BitSelect::Random)) as Arc<dyn PerturbationModel>;
+        type Build = fn(&ZooConfig) -> Network;
+        let neuron = || FaultMode::Neuron(NeuronSelect::Random);
+        let cases: [(Build, FaultMode, Arc<dyn PerturbationModel>, QuantMode); 3] = [
+            (zoo::vgg19, neuron(), fp32(), QuantMode::Off),
+            (
+                zoo::resnet18,
+                FaultMode::Weight(WeightSelect::Random),
+                int8,
+                QuantMode::Int8,
+            ),
+            (zoo::lenet, neuron(), fp32(), QuantMode::Off),
+        ];
+        for (build, mode, fault, quant) in cases {
+            let factory = move || build(&ZooConfig::tiny(10));
+            let mut probe = factory();
+            let labels: Vec<usize> = (0..images.dims()[0])
+                .map(|i| top1(probe.forward(&images.select_batch(i)).data()))
+                .collect();
+            let campaign = Campaign::new(&factory, &images, &labels, mode, fault);
+            let cfg = CampaignConfig {
+                trials: 24,
+                seed: 41,
+                threads: Some(2),
+                quant,
+                ..CampaignConfig::default()
+            };
+            let planned = campaign.run(&cfg).unwrap();
+            let reference = campaign
+                .run(&CampaignConfig { plan: false, ..cfg })
+                .unwrap();
+            assert_eq!(planned.records.len(), 24);
+            assert_eq!(planned.records, reference.records, "{quant:?}");
+            assert_eq!(planned.counts, reference.counts);
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::module::{
     leaf_boilerplate, BackwardCtx, ForwardCtx, LayerKind, LayerMeta, Module, Param,
 };
 use rustfi_tensor::{
-    conv2d, conv2d_backward, conv2d_planned, conv2d_q, conv2d_q_planned, Act, BnFoldView, ConvSpec,
-    Im2colPlan, Im2rowPlan, QTensor, SeededRng, Tensor,
+    conv2d_backward, conv2d_fused, conv2d_q_fused, Act, BnFoldView, ConvSpec, Im2colPlan,
+    Im2rowPlan, QTensor, SeededRng, Tensor,
 };
 
 /// A 2-D convolution with learned weights and bias.
@@ -28,7 +28,9 @@ pub struct Conv2d {
     /// shape the planned forward actually sees and rebuilt only when that
     /// shape changes. Pure geometry — weight faults never touch it.
     gather: Option<Im2colPlan>,
-    /// INT8 twin of `gather` (transposed im2row destination layout).
+    /// INT8 twin of `gather` (transposed im2row destination layout). A
+    /// layer holds at most one of the two: each backend's forward drops the
+    /// other's map (INT8 calibration runs f32 forwards first).
     gather_q: Option<Im2rowPlan>,
 }
 
@@ -81,40 +83,51 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Planned forward shared by the plain and fused paths: gather-plan
-    /// lowering, partner epilogue in one pass over the GEMM output, no
-    /// activation cache (plans are inference-only; `backward` after a
-    /// planned forward panics).
-    fn forward_planned(
+    /// Forward shared by the plain and fused paths: one call of the
+    /// backend's conv kernel with the partner epilogue. Planned passes lower
+    /// through the cached gather map and keep no activation cache (plans are
+    /// inference-only; `backward` after a planned forward panics);
+    /// unplanned passes lower on the fly and cache the input for `backward`.
+    fn run(
         &mut self,
         input: &Tensor,
         ctx: &mut ForwardCtx<'_>,
         bn: Option<BnFoldView<'_>>,
         act: Act,
     ) -> Tensor {
-        self.cached_input = None;
+        let planned = ctx.plan_active();
+        if planned {
+            self.cached_input = None;
+        } else {
+            rustfi_tensor::tpool::reuse_slot(&mut self.cached_input, input.dims())
+                .data_mut()
+                .copy_from_slice(input.data());
+        }
         let &[_, _, h, w] = input.dims() else {
             panic!("conv input must be rank 4");
         };
-        let cg = self.weight.dims()[1];
-        let (kh, kw) = (self.weight.dims()[2], self.weight.dims()[3]);
+        let &[_, cg, kh, kw] = self.weight.dims() else {
+            unreachable!("conv weights are rank 4");
+        };
         match ctx.input_scale(self.meta.id) {
             Some(scale) => {
-                if !self.gather_q.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
+                self.gather = None;
+                if planned && !self.gather_q.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
                     self.gather_q = Some(Im2rowPlan::build(cg, h, w, (kh, kw), &self.spec));
                 }
-                let plan = self.gather_q.as_ref().expect("plan built above");
+                let plan = self.gather_q.as_ref().filter(|_| planned);
                 let qw = self
                     .qweight
                     .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-                conv2d_q_planned(input, qw, plan, &self.bias, &self.spec, scale, bn, act)
+                conv2d_q_fused(input, qw, plan, &self.bias, &self.spec, scale, bn, act)
             }
             None => {
-                if !self.gather.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
+                self.gather_q = None;
+                if planned && !self.gather.as_ref().is_some_and(|p| p.matches(cg, h, w)) {
                     self.gather = Some(Im2colPlan::build(cg, h, w, (kh, kw), &self.spec));
                 }
-                let plan = self.gather.as_ref().expect("plan built above");
-                conv2d_planned(input, &self.weight, plan, &self.bias, &self.spec, bn, act)
+                let plan = self.gather.as_ref().filter(|_| planned);
+                conv2d_fused(input, &self.weight, plan, &self.bias, &self.spec, bn, act)
             }
         }
     }
@@ -165,23 +178,7 @@ impl Module for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, ctx: &mut ForwardCtx<'_>) -> Tensor {
-        if ctx.plan_active() {
-            let mut out = self.forward_planned(input, ctx, None, Act::None);
-            ctx.run_forward_hooks(&self.meta, LayerKind::Conv2d, &mut out);
-            return out;
-        }
-        rustfi_tensor::tpool::reuse_slot(&mut self.cached_input, input.dims())
-            .data_mut()
-            .copy_from_slice(input.data());
-        let mut out = match ctx.input_scale(self.meta.id) {
-            Some(scale) => {
-                let qw = self
-                    .qweight
-                    .get_or_insert_with(|| QTensor::quantize_per_channel(&self.weight));
-                conv2d_q(input, qw, &self.bias, &self.spec, scale)
-            }
-            None => conv2d(input, &self.weight, &self.bias, &self.spec),
-        };
+        let mut out = self.run(input, ctx, None, Act::None);
         ctx.run_forward_hooks(&self.meta, LayerKind::Conv2d, &mut out);
         out
     }
@@ -196,7 +193,7 @@ impl Module for Conv2d {
         if !ctx.plan_active() {
             return None;
         }
-        Some(self.forward_planned(input, ctx, bn, act))
+        Some(self.run(input, ctx, bn, act))
     }
 
     fn backward(&mut self, grad_out: &Tensor, ctx: &mut BackwardCtx<'_>) -> Tensor {
@@ -304,6 +301,35 @@ mod tests {
         for (a, b) in g1.iter().zip(&g2) {
             assert!((b - 2.0 * a).abs() < 1e-5, "second backward doubles grads");
         }
+    }
+
+    #[test]
+    fn int8_forward_drops_the_f32_gather_map() {
+        use crate::quantized::{Backend, CalibrationTable};
+        use std::sync::Arc;
+        let mut rng = SeededRng::new(7);
+        let mut conv = Conv2d::new(2, 3, 3, ConvSpec::new().padding(1), &mut rng);
+        let x = Tensor::rand_normal(&[1, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let reg = HookRegistry::new();
+        let mut fwd_rng = SeededRng::new(0);
+        let mut planned_forward = |conv: &mut Conv2d, backend: &Backend| {
+            let mut ctx = ForwardCtx::new(false, &reg, &mut fwd_rng, None, backend, true);
+            conv.forward(&x, &mut ctx);
+        };
+        // Calibration runs f32 planned forwards before the INT8 backend goes in.
+        planned_forward(&mut conv, &Backend::Fp32);
+        assert!(conv.gather.is_some() && conv.gather_q.is_none());
+        let int8 = Backend::Int8(Arc::new(CalibrationTable::from_scales(vec![0.05])));
+        planned_forward(&mut conv, &int8);
+        assert!(
+            conv.gather.is_none(),
+            "the INT8 forward dropped the f32 map"
+        );
+        assert!(conv.gather_q.is_some());
+        assert!(
+            conv.cached_input.is_none(),
+            "planned forwards cache nothing"
+        );
     }
 
     #[test]

@@ -619,6 +619,12 @@ impl Network {
     /// automatically fall back to the unfused order, so injection hooks
     /// observe exactly the tensors they would without a plan.
     ///
+    /// Off by default on a bare network: eval-mode `backward` consumers
+    /// (saliency maps, Grad-CAM, FGSM) run an inference forward and then
+    /// need the activation caches a planned forward skips. Fault-injection
+    /// campaigns never run `backward` and turn it on (see
+    /// `CampaignConfig::plan`).
+    ///
     /// [`Sequential`]: crate::layer::container::Sequential
     pub fn set_plan(&mut self, plan: bool) {
         self.plan = plan;

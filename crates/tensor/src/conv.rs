@@ -9,7 +9,7 @@ use crate::parallel;
 use crate::plan::{per_row_epilogue, Act, BnFoldView, GatherPlan};
 use crate::tensor::Tensor;
 
-/// Threshold (in multiply–accumulate operations) above which [`conv2d`]
+/// Threshold (in multiply–accumulate operations) above which [`conv2d_fused`]
 /// parallelizes across batch elements instead of inside the per-group
 /// matmul. Matches the matmul threshold so small problems stay serial.
 const PARALLEL_BATCH_MACS: usize = 1 << 20;
@@ -256,6 +256,8 @@ fn check_conv_args(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSp
 /// - `bias`: `[oc]`
 ///
 /// Returns `[n, oc, oh, ow]` with `oh/ow` given by [`ConvSpec::out_size`].
+/// Shorthand for [`conv2d_fused`] with on-the-fly lowering and no partner
+/// ops.
 ///
 /// # Panics
 ///
@@ -274,82 +276,12 @@ fn check_conv_args(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSp
 /// assert_eq!(y.at(&[0, 0, 0, 0]), 9.0);
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Tensor {
-    crate::opcount::count_conv2d();
-    check_conv_args(input, weight, bias, spec);
-    let (n, c, h, w) = input.dims4();
-    let (oc, _, kh, kw) = weight.dims4();
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cg = c / spec.groups;
-    let og = oc / spec.groups;
-
-    let kcols = cg * kh * kw;
-    let ohw = oh * ow;
-    // The per-group weight slab is a contiguous run of rows of the
-    // [oc, cg*kh*kw] weight matrix, so it can be borrowed directly — no
-    // per-batch (or even per-call) slab copy.
-    let wdata = weight.data();
-    let bdata = bias.data();
-    let spec = *spec;
-
-    // Fully overwritten below (`*d = s + b` covers every element), so the
-    // buffer can come from the recycling pool with stale contents.
-    let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
-    let batch_stride = oc * ohw;
-
-    // One batch element's worth of work, with caller-owned im2col/product
-    // scratch reused across every (batch, group) iteration. Per-sample GEMMs
-    // beat one batch-wide GEMM here: each sample's `[kcols, ohw]` im2col
-    // panel stays cache-resident for its whole k sweep, where a merged
-    // `[kcols, n*ohw]` panel would stream from memory once per row block.
-    // The inner matmul stays serial when the caller is already fanned out
-    // across batches.
-    let run_batch = |bn: usize,
-                     out_bn: &mut [f32],
-                     cols: &mut [f32],
-                     prod: &mut [f32],
-                     parallel_matmul: bool| {
-        for g in 0..spec.groups {
-            im2col_into(input, bn, g * cg, cg, kh, kw, &spec, oh, ow, cols);
-            let wslab = &wdata[g * og * kcols..(g + 1) * og * kcols];
-            matmul_into(wslab, cols, prod, og, kcols, ohw, parallel_matmul);
-            for o in 0..og {
-                let b = bdata[g * og + o];
-                let dst = &mut out_bn[(g * og + o) * ohw..(g * og + o + 1) * ohw];
-                for (d, &s) in dst.iter_mut().zip(&prod[o * ohw..(o + 1) * ohw]) {
-                    *d = s + b;
-                }
-            }
-        }
-    };
-
-    let total_macs = n * oc * ohw * kcols;
-    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        // Batch elements are independent, so fan them across workers; each
-        // worker reuses one scratch pair for its whole run of batches.
-        parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_conv_scratch(kcols * ohw, og * ohw, |cols, prod| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, cols, prod, false);
-                }
-            });
-        });
-    } else {
-        let out_data = out.data_mut();
-        with_conv_scratch(kcols * ohw, og * ohw, |cols, prod| {
-            for bn in 0..n {
-                let out_bn = &mut out_data[bn * batch_stride..(bn + 1) * batch_stride];
-                run_batch(bn, out_bn, cols, prod, true);
-            }
-        });
-    }
-    out
+    conv2d_fused(input, weight, None, bias, spec, None, Act::None)
 }
 
 /// Compiled im2col plan: a [`GatherPlan`] lowering one batch element's
 /// group slice (`[cg, h, w]`, contiguous in NCHW) into the
-/// `[cg*kh*kw, oh*ow]` im2col matrix that [`conv2d_planned`] feeds its
+/// `[cg*kh*kw, oh*ow]` im2col matrix that [`conv2d_fused`] feeds its
 /// GEMM.
 ///
 /// The map depends only on the convolution geometry and the input spatial
@@ -412,28 +344,32 @@ impl Im2colPlan {
     }
 }
 
-/// 2-D convolution through a compiled plan: a precomputed [`Im2colPlan`]
-/// gather in place of per-element im2col index arithmetic, the ordinary
-/// [`matmul_into`] on each group's weight slab, and one in-place epilogue
-/// pass (bias, optional folded batch-norm, optional activation) over the
-/// GEMM output.
+/// 2-D convolution with an optional compiled lowering and a fused
+/// epilogue: the single f32 convolution kernel entry point.
 ///
-/// Produces bit-identical results to [`conv2d`] followed by the standalone
-/// batch-norm/activation kernels: the GEMM is the same kernel on the same
-/// operands, and the epilogue replicates the serial per-element op order
-/// (see [`crate::plan`]). Unlike [`conv2d`] there is no intermediate
-/// product buffer — the GEMM writes straight into the output tensor.
+/// Each `(batch, group)` slice is lowered into the im2col matrix — through
+/// the precomputed [`Im2colPlan`] gather when `plan` is given, by on-the-fly
+/// index arithmetic otherwise — multiplied with the ordinary
+/// [`matmul_into`] on the group's weight slab straight into the output
+/// tensor, and finished by one in-place [`per_row_epilogue`] pass: bias,
+/// then the optional folded batch-norm, then `act`.
+///
+/// Both lowerings fill the same matrix and the epilogue replicates the
+/// serial per-element op order (see [`crate::plan`]), so the result is
+/// bit-identical to the bias-only convolution followed by the standalone
+/// batch-norm/activation kernels, with or without a plan.
 ///
 /// - `weight`: `[oc, c/groups, kh, kw]`
-/// - `plan`: the gather plan for this input's group-slice shape
+/// - `plan`: the gather plan for this input's group-slice shape, or `None`
+/// - `bn`: folded inference batch-norm constants, one per output channel
 ///
 /// # Panics
 ///
 /// Panics if shapes, the spec, and the gather plan are inconsistent.
-pub fn conv2d_planned(
+pub fn conv2d_fused(
     input: &Tensor,
     weight: &Tensor,
-    plan: &Im2colPlan,
+    plan: Option<&Im2colPlan>,
     bias: &Tensor,
     spec: &ConvSpec,
     bn: Option<BnFoldView<'_>>,
@@ -449,14 +385,19 @@ pub fn conv2d_planned(
     let oh = spec.out_size(h, kh);
     let ow = spec.out_size(w, kw);
     let ohw = oh * ow;
-    assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
-    assert_eq!(plan.map.len(), kcols * ohw, "gather plan size mismatch");
+    if let Some(p) = plan {
+        assert!(p.matches(cg, h, w), "gather plan shape mismatch");
+        assert_eq!(p.map.len(), kcols * ohw, "gather plan size mismatch");
+    }
     if let Some(f) = &bn {
         assert_eq!(f.mean.len(), oc, "bn fold length != out_channels");
     }
     let chw = c * h * w;
     let ghw = cg * h * w;
     let in_data = input.data();
+    // The per-group weight slab is a contiguous run of rows of the
+    // [oc, cg*kh*kw] weight matrix, so it can be borrowed directly — no
+    // per-batch (or even per-call) slab copy.
     let wdata = weight.data();
     let bdata = bias.data();
 
@@ -464,10 +405,21 @@ pub fn conv2d_planned(
     let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
     let batch_stride = oc * ohw;
 
+    // One batch element's worth of work, with caller-owned im2col scratch
+    // reused across every (batch, group) iteration. Per-sample GEMMs beat
+    // one batch-wide GEMM here: each sample's `[kcols, ohw]` im2col panel
+    // stays cache-resident for its whole k sweep, where a merged
+    // `[kcols, n*ohw]` panel would stream from memory once per row block.
+    // The inner matmul stays serial when the caller is already fanned out
+    // across batches.
     let run_batch = |bn_idx: usize, out_bn: &mut [f32], cols: &mut [f32], inner_parallel: bool| {
         for g in 0..spec.groups {
-            plan.map
-                .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols);
+            match plan {
+                Some(p) => p
+                    .map
+                    .gather(&in_data[bn_idx * chw + g * ghw..][..ghw], cols),
+                None => im2col_into(input, bn_idx, g * cg, cg, kh, kw, spec, oh, ow, cols),
+            }
             let wslab = &wdata[g * og * kcols..(g + 1) * og * kcols];
             let out_g = &mut out_bn[g * og * ohw..(g + 1) * og * ohw];
             matmul_into(wslab, cols, out_g, og, kcols, ohw, inner_parallel);
@@ -477,8 +429,10 @@ pub fn conv2d_planned(
 
     let total_macs = n * oc * ohw * kcols;
     if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
+        // Batch elements are independent, so fan them across workers; each
+        // worker reuses one scratch buffer for its whole run of batches.
         parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_conv_scratch(kcols * ohw, 0, |cols, _| {
+            with_conv_scratch(kcols * ohw, |cols| {
                 for i in 0..items {
                     let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
                     run_batch(start + i, out_bn, cols, false);
@@ -487,7 +441,7 @@ pub fn conv2d_planned(
         });
     } else {
         let out_data = out.data_mut();
-        with_conv_scratch(kcols * ohw, 0, |cols, _| {
+        with_conv_scratch(kcols * ohw, |cols| {
             for bn_idx in 0..n {
                 let out_bn = &mut out_data[bn_idx * batch_stride..(bn_idx + 1) * batch_stride];
                 run_batch(bn_idx, out_bn, cols, true);
@@ -497,26 +451,21 @@ pub fn conv2d_planned(
     out
 }
 
-/// Runs `f` with this thread's reusable im2col/product scratch, sized to at
-/// least `cols_len`/`prod_len`. Reuse skips a malloc + memset per [`conv2d`]
-/// call, which dominates small convolutions; stale contents are harmless
-/// because [`im2col_into`] writes (or zero-fills) every element it exposes
-/// and the product buffer is fully overwritten by `matmul_into`.
-fn with_conv_scratch(cols_len: usize, prod_len: usize, f: impl FnOnce(&mut [f32], &mut [f32])) {
+/// Runs `f` with this thread's reusable im2col scratch, sized to at least
+/// `cols_len`. Reuse skips a malloc + memset per [`conv2d_fused`] call,
+/// which dominates small convolutions; stale contents are harmless because
+/// both lowerings write (or zero-fill) every element they expose.
+fn with_conv_scratch(cols_len: usize, f: impl FnOnce(&mut [f32])) {
     use std::cell::RefCell;
     thread_local! {
-        static SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+        static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
     SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (cols, prod) = &mut *guard;
+        let mut cols = cell.borrow_mut();
         if cols.len() < cols_len {
             cols.resize(cols_len, 0.0);
         }
-        if prod.len() < prod_len {
-            prod.resize(prod_len, 0.0);
-        }
-        f(&mut cols[..cols_len], &mut prod[..prod_len]);
+        f(&mut cols[..cols_len]);
     });
 }
 
@@ -771,7 +720,7 @@ mod tests {
             let b = Tensor::rand_normal(&[oc], 0.0, 0.1, &mut rng);
             let plain = conv2d(&x, &w, &b, &spec);
             let plan = Im2colPlan::build(c / groups, hw, hw, (3, 3), &spec);
-            let planned = conv2d_planned(&x, &w, &plan, &b, &spec, None, Act::None);
+            let planned = conv2d_fused(&x, &w, Some(&plan), &b, &spec, None, Act::None);
             assert_eq!(planned.dims(), plain.dims());
             for (p, q) in planned.data().iter().zip(plain.data()) {
                 assert_eq!(p.to_bits(), q.to_bits());
@@ -791,9 +740,11 @@ mod tests {
             *v = v.max(0.0);
         }
         let plan = Im2colPlan::build(3, 7, 7, (3, 3), &spec);
-        let fused = conv2d_planned(&x, &w, &plan, &b, &spec, None, Act::Relu);
-        for (p, q) in fused.data().iter().zip(serial.data()) {
-            assert_eq!(p.to_bits(), q.to_bits());
+        for lowering in [Some(&plan), None] {
+            let fused = conv2d_fused(&x, &w, lowering, &b, &spec, None, Act::Relu);
+            for (p, q) in fused.data().iter().zip(serial.data()) {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
         }
     }
 

@@ -53,14 +53,14 @@ mod shape;
 mod tensor;
 pub mod tpool;
 
-pub use conv::{conv2d, conv2d_backward, conv2d_planned, Conv2dGrads, ConvSpec, Im2colPlan};
+pub use conv::{conv2d, conv2d_backward, conv2d_fused, Conv2dGrads, ConvSpec, Im2colPlan};
 pub use linalg::{matmul, matmul_into, transpose_into};
 pub use plan::{Act, BnFoldView, GatherPlan};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_into, PoolSpec,
 };
 pub use qkernels::matmul_i8_nt;
-pub use qtensor::{conv2d_q, conv2d_q_planned, linear_q, linear_q_planned, Im2rowPlan, QTensor};
+pub use qtensor::{conv2d_q, conv2d_q_fused, linear_q, linear_q_planned, Im2rowPlan, QTensor};
 pub use resize::{resize_map, upsample_nearest, zero_pad2d};
 pub use rng::SeededRng;
 pub use shape::ShapeError;

@@ -3,15 +3,39 @@
 //! The RustFI stack uses plain data parallelism in two places: large matrix
 //! multiplies inside convolution, and fault-injection campaigns that fan
 //! independent trials across worker threads. Both are expressed with the two
-//! helpers here, so thread management lives in exactly one module.
+//! helpers here, so thread management lives in exactly one module. The
+//! threads they spawn are marked as workers, and a helper called from inside
+//! a worker runs inline on it: a campaign worker's batched convolution never
+//! spawns (and tears down) threads of its own on every call.
 //!
 //! The [`shield`] submodule is the campaign-resilience primitive: it runs a
 //! closure under [`std::panic::catch_unwind`] while suppressing the global
 //! panic hook's stderr spew for that thread, so a deliberately isolated
 //! panicking trial neither kills the worker nor floods the terminal.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on every thread the helpers below spawn.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Threads a helper may fan `items` across: one (inline) when the caller is
+/// itself a worker of an enclosing helper.
+fn fan_out(items: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        worker_count().min(items)
+    }
+}
+
+/// Marks the current (freshly spawned) thread as a worker for its lifetime.
+fn enter_worker() {
+    IN_WORKER.with(|w| w.set(true));
+}
 
 /// Number of worker threads to use (cached; at least 1).
 pub fn worker_count() -> usize {
@@ -54,7 +78,7 @@ where
     if items == 0 {
         return;
     }
-    let workers = worker_count().min(items);
+    let workers = fan_out(items);
     if workers <= 1 {
         f(0, items, out);
         return;
@@ -69,7 +93,10 @@ where
             rest = tail;
             let fref = &f;
             let item_start = start;
-            scope.spawn(move || fref(item_start, take, head));
+            scope.spawn(move || {
+                enter_worker();
+                fref(item_start, take, head)
+            });
             start += take;
         }
     });
@@ -79,7 +106,8 @@ where
 /// results in order.
 ///
 /// Work is distributed by index striding through an atomic counter, so uneven
-/// per-item cost still balances. Results are returned in input order.
+/// per-item cost still balances. Results are returned in input order. Called
+/// from inside a worker, it runs every item in order on that thread.
 ///
 /// # Panics
 ///
@@ -92,7 +120,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = worker_count().min(n);
+    let workers = fan_out(n);
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
@@ -104,6 +132,7 @@ where
                 let fref = &f;
                 let cref = &counter;
                 scope.spawn(move || {
+                    enter_worker();
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let i = cref.fetch_add(1, Ordering::Relaxed);
@@ -277,5 +306,23 @@ mod tests {
     #[test]
     fn map_indexed_single() {
         assert_eq!(map_indexed(1, |i| i + 41), vec![41]);
+    }
+
+    #[test]
+    fn nested_calls_run_on_the_calling_worker() {
+        use std::sync::atomic::AtomicBool;
+        let outer = map_indexed(2, |_| {
+            let me = std::thread::current().id();
+            let inner = map_indexed(4, |_| std::thread::current().id());
+            let stayed = AtomicBool::new(true);
+            let mut out = vec![0.0f32; 8];
+            for_each_chunk_mut(&mut out, 1, |_, _, _| {
+                if std::thread::current().id() != me {
+                    stayed.store(false, Ordering::Relaxed);
+                }
+            });
+            inner.iter().all(|&t| t == me) && stayed.into_inner()
+        });
+        assert_eq!(outer, vec![true, true]);
     }
 }

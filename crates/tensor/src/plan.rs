@@ -130,8 +130,16 @@ pub struct GatherPlan {
     /// Expected source slice length; gathers assert against it.
     src_len: usize,
     /// One source offset per destination element; any value `>= src_len`
-    /// (canonically [`GatherPlan::PAD`]) writes the type's zero instead.
-    idx: Vec<u32>,
+    /// writes the type's zero instead.
+    idx: Offsets,
+}
+
+/// A gather map's offsets: `u32`, or `u16` for a [`GatherPlan::compact`]
+/// map whose source is short enough.
+#[derive(Debug, Clone)]
+enum Offsets {
+    U16(Vec<u16>),
+    U32(Vec<u32>),
 }
 
 impl GatherPlan {
@@ -148,17 +156,44 @@ impl GatherPlan {
             u32::try_from(src_len).is_ok(),
             "gather source too large for u32 offsets"
         );
-        Self { src_len, idx }
+        Self {
+            src_len,
+            idx: Offsets::U32(idx),
+        }
+    }
+
+    /// Like [`GatherPlan::new`], but stores the offsets as `u16` when the
+    /// source is shorter than `u16::MAX`, halving the map. Meant for
+    /// one-byte elements, whose `u32` offsets would take four times the
+    /// space of the lowered matrix itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src_len` overflows `u32`.
+    pub fn compact(src_len: usize, idx: Vec<u32>) -> Self {
+        let mut plan = Self::new(src_len, idx);
+        if src_len < usize::from(u16::MAX) {
+            if let Offsets::U32(wide) = &plan.idx {
+                // Every out-of-range entry narrows to `u16::MAX`, which
+                // stays out of range.
+                let narrow = wide.iter().map(|&i| i.min(u32::from(u16::MAX)) as u16);
+                plan.idx = Offsets::U16(narrow.collect());
+            }
+        }
+        plan
     }
 
     /// Number of destination elements the map produces.
     pub fn len(&self) -> usize {
-        self.idx.len()
+        match &self.idx {
+            Offsets::U16(v) => v.len(),
+            Offsets::U32(v) => v.len(),
+        }
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
+        self.len() == 0
     }
 
     /// Executes the gather: `dst[i] = src[idx[i]]`, or `T::default()` where
@@ -171,9 +206,18 @@ impl GatherPlan {
     /// Panics if `src` or `dst` disagree with the map's dimensions.
     pub fn gather<T: Copy + Default>(&self, src: &[T], dst: &mut [T]) {
         assert_eq!(src.len(), self.src_len, "gather source length");
-        assert_eq!(dst.len(), self.idx.len(), "gather destination length");
-        for (d, &ix) in dst.iter_mut().zip(&self.idx) {
-            *d = src.get(ix as usize).copied().unwrap_or_default();
+        assert_eq!(dst.len(), self.len(), "gather destination length");
+        match &self.idx {
+            Offsets::U16(idx) => {
+                for (d, &ix) in dst.iter_mut().zip(idx) {
+                    *d = src.get(usize::from(ix)).copied().unwrap_or_default();
+                }
+            }
+            Offsets::U32(idx) => {
+                for (d, &ix) in dst.iter_mut().zip(idx) {
+                    *d = src.get(ix as usize).copied().unwrap_or_default();
+                }
+            }
         }
     }
 }
@@ -194,17 +238,36 @@ mod tests {
 
     #[test]
     fn gather_plan_copies_and_zero_fills() {
-        let plan = GatherPlan::new(4, vec![2, 0, GatherPlan::PAD, 3, 7]);
-        let src = [10.0f32, 11.0, 12.0, 13.0];
-        let mut dst = [f32::NAN; 5];
+        let idx = vec![2, 0, GatherPlan::PAD, 3, 7];
+        for plan in [GatherPlan::new(4, idx.clone()), GatherPlan::compact(4, idx)] {
+            let src = [10.0f32, 11.0, 12.0, 13.0];
+            let mut dst = [f32::NAN; 5];
+            plan.gather(&src, &mut dst);
+            // Both the canonical PAD sentinel and any other out-of-range
+            // offset produce the zero element.
+            assert_eq!(dst, [12.0, 10.0, 0.0, 13.0, 0.0]);
+            let qsrc = [1i8, 2, 3, 4];
+            let mut qdst = [9i8; 5];
+            plan.gather(&qsrc, &mut qdst);
+            assert_eq!(qdst, [3, 1, 0, 4, 0]);
+        }
+    }
+
+    #[test]
+    fn compact_maps_keep_u32_offsets_for_wide_sources() {
+        // Offsets at and past u16::MAX must neither truncate nor alias the
+        // padding sentinel.
+        let n = 70_000usize;
+        let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let plan = GatherPlan::compact(n, vec![65_535, 69_999, GatherPlan::PAD, 7]);
+        let mut dst = [f32::NAN; 4];
         plan.gather(&src, &mut dst);
-        // Both the canonical PAD sentinel and any other out-of-range offset
-        // produce the zero element.
-        assert_eq!(dst, [12.0, 10.0, 0.0, 13.0, 0.0]);
-        let qsrc = [1i8, 2, 3, 4];
-        let mut qdst = [9i8; 5];
-        plan.gather(&qsrc, &mut qdst);
-        assert_eq!(qdst, [3, 1, 0, 4, 0]);
+        assert_eq!(dst, [65_535.0, 69_999.0, 0.0, 7.0]);
+        let edge = GatherPlan::compact(65_535, vec![65_534, 65_535, 0]);
+        let src: Vec<u8> = (0..65_535u32).map(|i| (i % 251) as u8 + 1).collect();
+        let mut dst = [9u8; 3];
+        edge.gather(&src, &mut dst);
+        assert_eq!(dst, [src[65_534], 0, src[0]]);
     }
 
     #[test]

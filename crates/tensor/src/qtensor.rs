@@ -26,7 +26,7 @@ use crate::qkernels::{
 };
 use crate::tensor::Tensor;
 
-/// Threshold (in multiply–accumulate operations) above which [`conv2d_q`]
+/// Threshold (in multiply–accumulate operations) above which [`conv2d_q_fused`]
 /// parallelizes across batch elements; matches the f32 conv threshold.
 const PARALLEL_BATCH_MACS: usize = 1 << 20;
 
@@ -254,11 +254,12 @@ fn im2row_i8(
 
 /// Compiled im2row plan: a [`GatherPlan`] lowering one quantized sample's
 /// group slice (`[cg, h, w]` of `i8` words, contiguous) into the
-/// `[oh*ow, cg*kh*kw]` im2row matrix that [`conv2d_q_planned`] feeds its
+/// `[oh*ow, cg*kh*kw]` im2row matrix that [`conv2d_q_fused`] feeds its
 /// integer GEMM. The INT8 analogue of
 /// [`Im2colPlan`](crate::conv::Im2colPlan): same geometry-only build, same
 /// bit-identity to the on-the-fly `im2row_i8` lowering, transposed
-/// destination layout.
+/// destination layout, and [`GatherPlan::compact`] offsets (`u16` where the
+/// slice allows) so the map of one-byte words stays small.
 #[derive(Debug, Clone)]
 pub struct Im2rowPlan {
     cg: usize,
@@ -301,7 +302,7 @@ impl Im2rowPlan {
             cg,
             h,
             w,
-            map: GatherPlan::new(cg * h * w, idx),
+            map: GatherPlan::compact(cg * h * w, idx),
         }
     }
 
@@ -319,6 +320,8 @@ impl Im2rowPlan {
 /// - `bias`: f32 `[oc]`, added after dequantization
 ///
 /// Returns f32 `[n, oc, oh, ow]` like [`conv2d`](crate::conv2d).
+/// Shorthand for [`conv2d_q_fused`] with on-the-fly lowering and no partner
+/// ops.
 ///
 /// # Panics
 ///
@@ -330,79 +333,22 @@ pub fn conv2d_q(
     spec: &ConvSpec,
     input_scale: f32,
 ) -> Tensor {
-    crate::opcount::count_conv2d();
-    let (n, c, h, w) = input.dims4();
-    let wd = qweight.dims();
-    assert_eq!(wd.len(), 4, "weight must be rank 4");
-    let (oc, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
-    assert!(spec.groups > 0 && spec.stride > 0, "bad conv spec");
-    assert_eq!(c % spec.groups, 0, "in_channels not divisible by groups");
-    assert_eq!(oc % spec.groups, 0, "out_channels not divisible by groups");
-    assert_eq!(wc, c / spec.groups, "weight channel mismatch");
-    assert_eq!(bias.len(), oc, "bias length != out_channels");
-    assert!(input_scale > 0.0, "input scale must be positive");
-    let oh = spec.out_size(h, kh);
-    let ow = spec.out_size(w, kw);
-    let cg = c / spec.groups;
-    let og = oc / spec.groups;
-    let kcols = cg * kh * kw;
-    let ohw = oh * ow;
-    let chw = c * h * w;
-
-    let bdata = bias.data();
-    let spec = *spec;
-
-    // Fully overwritten below, so the buffer may come from the pool dirty.
-    let mut out = Tensor::from_pool(&[n, oc, oh, ow]);
-    let batch_stride = oc * ohw;
-
-    let run_batch =
-        |bn: usize, out_bn: &mut [f32], qin: &mut [i8], rows: &mut [i8], acc: &mut [i32]| {
-            // One static-scale quantization of this sample's input slab; every
-            // group's im2row reads from it.
-            quantize_slice(&input.data()[bn * chw..(bn + 1) * chw], input_scale, qin);
-            for g in 0..spec.groups {
-                im2row_i8(qin, h, w, g * cg, cg, kh, kw, &spec, oh, ow, rows);
-                let wslab = &qweight.data()[g * og * kcols..(g + 1) * og * kcols];
-                matmul_i8_nt(wslab, rows, acc, og, kcols, ohw);
-                for o in 0..og {
-                    let oc_idx = g * og + o;
-                    dequant_bias_row(
-                        &acc[o * ohw..(o + 1) * ohw],
-                        input_scale * qweight.channel_scale(oc_idx),
-                        bdata[oc_idx],
-                        &mut out_bn[oc_idx * ohw..(oc_idx + 1) * ohw],
-                    );
-                }
-            }
-        };
-
-    let total_macs = n * oc * ohw * kcols;
-    if n > 1 && total_macs >= PARALLEL_BATCH_MACS {
-        crate::parallel::for_each_chunk_mut(out.data_mut(), batch_stride, |start, items, slab| {
-            with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-                for i in 0..items {
-                    let out_bn = &mut slab[i * batch_stride..(i + 1) * batch_stride];
-                    run_batch(start + i, out_bn, qin, rows, acc);
-                }
-            });
-        });
-    } else {
-        let out_data = out.data_mut();
-        with_q_scratch(chw, ohw * kcols, og * ohw, |qin, rows, acc| {
-            for bn in 0..n {
-                let out_bn = &mut out_data[bn * batch_stride..(bn + 1) * batch_stride];
-                run_batch(bn, out_bn, qin, rows, acc);
-            }
-        });
-    }
-    out
+    conv2d_q_fused(
+        input,
+        qweight,
+        None,
+        bias,
+        spec,
+        input_scale,
+        None,
+        Act::None,
+    )
 }
 
 /// Dequantizes one integer GEMM row and applies the fused epilogue with the
 /// exact per-element op order of the serial chain: `dequant_bias_row`'s
 /// `s as f32 * scale + bias`, then the folded batch-norm expression, then
-/// the activation.
+/// the activation. Without partner ops it is `dequant_bias_row` itself.
 #[inline(always)]
 fn dequant_epilogue_row(
     acc: &[i32],
@@ -412,13 +358,14 @@ fn dequant_epilogue_row(
     act: Act,
     out: &mut [f32],
 ) {
-    match bnc {
-        None => {
+    match (bnc, act) {
+        (None, Act::None) => dequant_bias_row(acc, scale, bias, out),
+        (None, _) => {
             for (o, &s) in out.iter_mut().zip(acc) {
                 *o = act.apply(s as f32 * scale + bias);
             }
         }
-        Some((mean, inv_std, gamma, beta)) => {
+        (Some((mean, inv_std, gamma, beta)), _) => {
             for (o, &s) in out.iter_mut().zip(acc) {
                 let v = s as f32 * scale + bias;
                 let n = (v - mean) * inv_std;
@@ -428,25 +375,30 @@ fn dequant_epilogue_row(
     }
 }
 
-/// Quantized 2-D convolution through a compiled plan: a precomputed
-/// [`Im2rowPlan`] gather replaces the per-element im2row index arithmetic,
-/// [`matmul_i8_nt`] runs on each group's stored weight slab, and the
-/// dequantize + bias + optional batch-norm + activation chain is fused into
-/// one write-back pass per output row.
+/// Quantized 2-D convolution with an optional compiled lowering and a fused
+/// epilogue: the single INT8 convolution kernel entry point.
 ///
-/// Bit-identical to [`conv2d_q`] followed by the standalone batch-norm /
-/// activation kernels: integer accumulation is exact, and the fused
-/// epilogue replicates the serial per-element op order.
+/// Each sample's input is quantized once against `input_scale`; each group
+/// slice is lowered into the im2row matrix — through the precomputed
+/// [`Im2rowPlan`] gather when `plan` is given, by on-the-fly index
+/// arithmetic otherwise — multiplied with [`matmul_i8_nt`] on the group's
+/// stored weight slab, and written back in one dequantize + bias +
+/// optional batch-norm + activation pass per output row.
+///
+/// Integer accumulation is exact, both lowerings fill the same matrix, and
+/// the epilogue replicates the serial per-element op order, so the result is
+/// bit-identical to the bias-only quantized convolution followed by the
+/// standalone batch-norm / activation kernels, with or without a plan.
 ///
 /// # Panics
 ///
 /// Panics if shapes, the spec, the gather plan, or `input_scale` are
 /// inconsistent.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_q_planned(
+pub fn conv2d_q_fused(
     input: &Tensor,
     qweight: &QTensor,
-    plan: &Im2rowPlan,
+    plan: Option<&Im2rowPlan>,
     bias: &Tensor,
     spec: &ConvSpec,
     input_scale: f32,
@@ -471,8 +423,13 @@ pub fn conv2d_q_planned(
     let kcols = cg * kh * kw;
     let ohw = oh * ow;
     let chw = c * h * w;
-    assert!(plan.matches(cg, h, w), "gather plan shape mismatch");
-    assert_eq!(plan.map.len(), ohw * kcols, "gather plan size mismatch");
+    if let Some(p) = plan {
+        assert!(p.matches(cg, h, w), "gather plan shape mismatch");
+        assert_eq!(p.map.len(), ohw * kcols, "gather plan size mismatch");
+    }
+    if let Some(f) = &bn {
+        assert_eq!(f.mean.len(), oc, "bn fold length != out_channels");
+    }
     let ghw = cg * h * w;
 
     let bdata = bias.data();
@@ -484,13 +441,18 @@ pub fn conv2d_q_planned(
 
     let run_batch =
         |bn_idx: usize, out_bn: &mut [f32], qin: &mut [i8], rows: &mut [i8], acc: &mut [i32]| {
+            // One static-scale quantization of this sample's input slab; every
+            // group's lowering reads from it.
             quantize_slice(
                 &input.data()[bn_idx * chw..(bn_idx + 1) * chw],
                 input_scale,
                 qin,
             );
             for g in 0..spec.groups {
-                plan.map.gather(&qin[g * ghw..(g + 1) * ghw], rows);
+                match plan {
+                    Some(p) => p.map.gather(&qin[g * ghw..(g + 1) * ghw], rows),
+                    None => im2row_i8(qin, h, w, g * cg, cg, kh, kw, spec, oh, ow, rows),
+                }
                 let wslab = &qweight.data()[g * og * kcols..(g + 1) * og * kcols];
                 matmul_i8_nt(wslab, rows, acc, og, kcols, ohw);
                 for o in 0..og {
@@ -863,10 +825,12 @@ mod tests {
                 *v = v.max(0.0);
             }
             let plan = Im2rowPlan::build(4 / spec.groups, 6, 6, (3, 3), &spec);
-            let fused = conv2d_q_planned(&x, &qw, &plan, &b, &spec, scale, None, Act::Relu);
-            assert_eq!(fused.dims(), serial.dims());
-            for (p, q) in fused.data().iter().zip(serial.data()) {
-                assert_eq!(p.to_bits(), q.to_bits());
+            for lowering in [Some(&plan), None] {
+                let fused = conv2d_q_fused(&x, &qw, lowering, &b, &spec, scale, None, Act::Relu);
+                assert_eq!(fused.dims(), serial.dims());
+                for (p, q) in fused.data().iter().zip(serial.data()) {
+                    assert_eq!(p.to_bits(), q.to_bits());
+                }
             }
         }
     }
