@@ -119,8 +119,11 @@ impl FuzzCase {
             threads: Some(self.threads),
             fusion: (self.fusion_width > 0)
                 .then(|| rustfi::FusionConfig::with_width(self.fusion_width)),
-            prefix_cache: (self.prefix_budget_kib > 0)
-                .then(|| rustfi::PrefixCacheConfig::with_budget(self.prefix_budget_kib << 10)),
+            // Always `Some`: a zero budget keeps planned cases uncached
+            // instead of falling back to the default cache.
+            prefix_cache: Some(rustfi::PrefixCacheConfig::with_budget(
+                self.prefix_budget_kib << 10,
+            )),
             pool_budget_bytes: self.pool_budget_bytes,
             plan: self.plan,
             ..self.reference_config()

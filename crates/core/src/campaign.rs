@@ -21,6 +21,11 @@
 //!   missing trials. Because trial randomness is position-based, a resumed
 //!   campaign is bit-identical to an uninterrupted one.
 //!
+//! By default every trial also *resumes from the golden prefix*
+//! ([`CampaignConfig::prefix_cache`]): a fault in layer *L* leaves the layers
+//! before *L*'s resume point clean, so the trial starts its forward pass from
+//! the activation the golden pass cached there instead of from the pixels.
+//!
 //! Campaigns can also *fuse* trials ([`CampaignConfig::fusion`]): pending
 //! neuron-fault trials that share an `(injection layer, image)` pair — the
 //! prefix-cache key — execute as one batched forward pass whose batch slices
@@ -263,12 +268,15 @@ pub struct CampaignConfig {
     /// leaf layers is cut short and classified [`OutcomeKind::Hang`].
     /// `None` disables the watchdog.
     pub max_steps: Option<usize>,
-    /// Golden-prefix activation caching ([`crate::prefix::PrefixCacheConfig`]):
-    /// snapshot
-    /// each injection layer's input during the golden pass and start trial
-    /// forward passes there instead of at the pixels. Purely a throughput
-    /// optimization — trial records are bit-identical with or without it (a
-    /// property test asserts this). Ignored when [`Self::max_steps`] is set,
+    /// Golden-prefix resume ([`crate::prefix::PrefixCacheConfig`]), **on by
+    /// default**: the golden pass snapshots each injection layer's resume
+    /// point input, and trials — neuron and weight faults alike — start
+    /// their forward pass there instead of at the pixels. `None` means the
+    /// default 256 MiB cache when [`Self::plan`] is on and no cache on the
+    /// unplanned reference path; `Some` is honoured either way, and a zero
+    /// `budget_bytes` turns the cache off. Purely a throughput optimization
+    /// — trial records are bit-identical with or without it (a property
+    /// test asserts this). Stands down when [`Self::max_steps`] is set,
     /// because the watchdog counts executed layers and a resumed pass
     /// executes fewer of them.
     pub prefix_cache: Option<crate::prefix::PrefixCacheConfig>,
@@ -400,7 +408,10 @@ pub struct CampaignResult {
     pub per_layer: Vec<(usize, usize)>,
     /// How many test images were eligible (classified correctly clean).
     pub eligible_images: usize,
-    /// Prefix-cache counters (`None` when caching was off or bypassed).
+    /// Prefix-cache counters (`None` when caching was off or stood down).
+    /// They count only the trials this call executed: a resumed journaled
+    /// run looks up just the trials missing from its journal, so
+    /// `hits + misses` equals the trials run, not [`CampaignConfig::trials`].
     pub prefix: Option<crate::prefix::PrefixStats>,
     /// Trial-fusion counters (`None` when fusion was off or stood down).
     pub fusion: Option<FusionStats>,
@@ -685,9 +696,16 @@ impl<'a> Campaign<'a> {
         // Golden pass: find eligible images and their clean confidence —
         // and, with prefix caching on, snapshot each resume point's input
         // so trials can skip re-running the fault-free layers before it.
-        // The watchdog counts executed layers, so a resumed (shorter) pass
-        // would classify Hang differently: caching stands down under it.
-        let use_prefix = cfg.prefix_cache.is_some() && cfg.max_steps.is_none();
+        // `None` means the default cache on the planned path and none on
+        // the unplanned reference path. The watchdog counts executed
+        // layers, so a resumed (shorter) pass would classify Hang
+        // differently: caching stands down under it.
+        let prefix_budget = match &cfg.prefix_cache {
+            Some(pc) => pc.budget_bytes,
+            None if cfg.plan => crate::prefix::PrefixCacheConfig::default().budget_bytes,
+            None => 0,
+        };
+        let use_prefix = prefix_budget > 0 && cfg.max_steps.is_none();
         let mut golden = FaultInjector::new((self.factory)(), FiConfig::for_input(&input_dims))?;
         golden.net_mut().set_plan(cfg.plan);
         // Install the quantization regime before anything observes
@@ -712,7 +730,6 @@ impl<'a> Campaign<'a> {
             }
         };
         let prefix = if use_prefix {
-            let pc = cfg.prefix_cache.as_ref().expect("use_prefix checked");
             let layers = golden.profile().layers();
             let resume: Vec<Option<LayerId>> = layers
                 .iter()
@@ -737,14 +754,12 @@ impl<'a> Campaign<'a> {
                         .sum()
                 })
                 .collect();
-            // Only snapshot what trials will look up: the resume points of
-            // whitelisted injection layers.
-            let capture_ids: std::collections::HashSet<LayerId> = (0..layers.len())
-                .filter(|&li| pc.allows_layer(li))
-                .filter_map(|li| resume[li])
-                .collect();
+            // Only snapshot what trials will look up: the injection layers'
+            // resume points.
+            let capture_ids: std::collections::HashSet<LayerId> =
+                resume.iter().flatten().copied().collect();
             Some((
-                crate::prefix::PrefixCache::new(pc.budget_bytes),
+                crate::prefix::PrefixCache::new(prefix_budget),
                 resume,
                 skipped,
                 capture_ids,
@@ -1189,9 +1204,8 @@ fn run_one_trial(
         };
         planned = Some((layer, site));
         // Prefix fast path: resume from the cached golden activation of
-        // this layer's resume point; any miss (evicted, unwhitelisted, or
-        // non-finite golden) falls back to a full pass with identical
-        // results.
+        // this layer's resume point; any miss (evicted or non-finite
+        // golden) falls back to a full pass with identical results.
         if let Some((cache, resume, skipped, _)) = env.prefix {
             if let Some(rid) = resume.get(layer).copied().flatten() {
                 match cache.lookup(image_index, rid, skipped[layer]) {
@@ -2023,11 +2037,28 @@ mod tests {
         truncated.push_str(&keep[11][..keep[11].len() / 2]);
         std::fs::write(&path, truncated).unwrap();
 
+        // The journal kept 11 whole records, so the resume runs 19 trials.
         let resumed = campaign.resume(&cfg, &path).unwrap();
-        assert_eq!(resumed, uninterrupted, "resume fills exactly the gap");
+        assert_resumed_report(&resumed, &uninterrupted, 19);
         // And the journal is now complete: resuming again runs nothing new.
         let again = campaign.run_journaled(&cfg, &path).unwrap();
-        assert_eq!(again, uninterrupted);
+        assert_resumed_report(&again, &uninterrupted, 0);
+    }
+
+    /// A resumed call reports what the uninterrupted run did, except the
+    /// prefix counters, which cover only the `ran` trials it executed.
+    fn assert_resumed_report(resumed: &CampaignResult, full: &CampaignResult, ran: u64) {
+        assert_eq!(
+            resumed.records, full.records,
+            "resume fills exactly the gap"
+        );
+        assert_eq!(resumed.counts, full.counts);
+        assert_eq!(resumed.per_layer, full.per_layer);
+        assert_eq!(resumed.eligible_images, full.eligible_images);
+        let p = resumed
+            .prefix
+            .expect("the default campaign resumes from the prefix");
+        assert_eq!(p.hits + p.misses, ran, "{p:?}");
     }
 
     #[test]
@@ -2236,7 +2267,11 @@ mod tests {
                 })
                 .unwrap()
         };
-        let baseline = run(1, None);
+        let baseline = run(1, Some(PrefixCacheConfig::with_budget(0)));
+        assert!(
+            baseline.prefix.is_none(),
+            "a zero budget turns the cache off"
+        );
         for threads in [1, 4] {
             let cached = run(threads, Some(PrefixCacheConfig::default()));
             assert_eq!(cached.records, baseline.records);
@@ -2343,49 +2378,6 @@ mod tests {
         assert!(stats.evictions > 0, "8 KiB cannot hold 6 images: {stats:?}");
         assert!(stats.misses > 0, "evicted entries miss");
         assert!(stats.bytes <= 8 << 10, "budget respected");
-    }
-
-    #[test]
-    fn layer_whitelist_limits_caching_to_those_layers() {
-        use crate::prefix::PrefixCacheConfig;
-
-        let images = images();
-        let labels = aligned_labels(&images);
-        let campaign = Campaign::new(
-            &factory,
-            &images,
-            &labels,
-            FaultMode::Neuron(NeuronSelect::Random),
-            Arc::new(RandomUniform::default()),
-        );
-        let cfg = CampaignConfig {
-            trials: 40,
-            seed: 26,
-            threads: Some(2),
-            plan: false,
-            ..CampaignConfig::default()
-        };
-        let plain = campaign.run(&cfg).unwrap();
-        let layer_count = plain.per_layer.len();
-        assert!(layer_count > 2, "lenet has several injectable layers");
-        // Whitelist only the final injectable layer.
-        let cached = campaign
-            .run(&CampaignConfig {
-                prefix_cache: Some(PrefixCacheConfig {
-                    layers: Some(vec![layer_count - 1]),
-                    ..PrefixCacheConfig::default()
-                }),
-                ..cfg.clone()
-            })
-            .unwrap();
-        assert_eq!(cached.records, plain.records);
-        let stats = cached.prefix.unwrap();
-        let last_layer_trials = plain.per_layer[layer_count - 1].0 as u64;
-        assert_eq!(
-            stats.hits, last_layer_trials,
-            "exactly the whitelisted layer's trials hit: {stats:?}"
-        );
-        assert!(stats.misses > 0, "other layers fall back");
     }
 
     #[test]
@@ -2741,21 +2733,19 @@ mod tests {
         truncated.push('\n');
         std::fs::write(&path, truncated).unwrap();
 
-        let resumed = campaign.resume(&cfg, &path).unwrap();
-        assert_eq!(
-            resumed.records, uninterrupted.records,
-            "resume fills the gap"
-        );
-        assert_eq!(resumed.counts, uninterrupted.counts);
         // The journal kept 11 records, so only the 19 missing trials ran —
         // fused among themselves, never mixed with replayed history.
+        let resumed = campaign.resume(&cfg, &path).unwrap();
+        assert_resumed_report(&resumed, &uninterrupted, 19);
         let stats = resumed.fusion.unwrap();
         assert_eq!(stats.fused_trials + stats.serial_trials, 19);
     }
 
-    /// The default campaign runs the compiled plan; its records must equal
-    /// the unplanned reference path's on VGG-19 neuron faults, ResNet-18
-    /// INT8 weight faults and LeNet.
+    /// The default campaign runs the compiled plan and resumes every trial
+    /// from the golden prefix; its records must equal the unplanned,
+    /// uncached reference path's on VGG-19 neuron faults, ResNet-18 INT8
+    /// weight faults and LeNet. Every default trial must actually hit the
+    /// cache: a silent stand-down would keep the records and lose the speed.
     #[test]
     fn default_plan_matches_the_unplanned_reference_on_zoo_models() {
         use crate::models::BitFlipFp32;
@@ -2796,6 +2786,9 @@ mod tests {
             assert_eq!(planned.records.len(), 24);
             assert_eq!(planned.records, reference.records, "{quant:?}");
             assert_eq!(planned.counts, reference.counts);
+            let p = planned.prefix.expect("the default resumes from the prefix");
+            assert_eq!((p.hits, p.misses), (24, 0), "{quant:?}: {p:?}");
+            assert!(reference.prefix.is_none(), "the reference runs uncached");
         }
     }
 

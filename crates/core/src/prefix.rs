@@ -27,42 +27,50 @@ use std::sync::Arc;
 
 /// Configuration of the golden-prefix cache
 /// ([`CampaignConfig::prefix_cache`](crate::CampaignConfig::prefix_cache)).
+///
+/// The cache is a resource limit, not a strategy switch: a planned campaign
+/// (the default) resumes its trials from the golden prefix with the default
+/// 256 MiB budget when `prefix_cache` is `None`, and a zero budget turns the
+/// cache off.
+///
+/// ```
+/// use rustfi::{CampaignConfig, PrefixCacheConfig};
+///
+/// // The default campaign resumes from the golden prefix already.
+/// let default = CampaignConfig::default();
+/// assert!(default.plan && default.prefix_cache.is_none());
+/// // A tighter memory cap: trials whose entry was evicted fall back to a
+/// // full forward pass, with identical records.
+/// let capped = CampaignConfig {
+///     prefix_cache: Some(PrefixCacheConfig::with_budget(64 << 20)),
+///     ..CampaignConfig::default()
+/// };
+/// assert_eq!(capped.prefix_cache.unwrap().budget_bytes, 64 << 20);
+/// // Every trial from the pixels, as the unplanned reference path does.
+/// let off = PrefixCacheConfig::with_budget(0);
+/// assert_eq!(off.budget_bytes, 0);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixCacheConfig {
     /// Maximum bytes of cached activations. When the golden pass would
     /// exceed it, the oldest entries are evicted; affected trials fall back
-    /// to full forward passes (results are unchanged either way).
+    /// to full forward passes (results are unchanged either way). `0`
+    /// disables the cache: the golden pass snapshots nothing.
     pub budget_bytes: usize,
-    /// Restrict caching to these injectable-layer indices (profile order,
-    /// as in [`TrialRecord::layer`](crate::TrialRecord::layer)). `None`
-    /// caches for every injectable layer. Whitelisting the mid/late layers
-    /// that dominate a campaign keeps the budget for the entries that pay.
-    pub layers: Option<Vec<usize>>,
 }
 
 impl Default for PrefixCacheConfig {
     fn default() -> Self {
-        Self {
-            // 256 MiB holds the full prefix set for every zoo model at
-            // CIFAR-scale inputs with plenty of headroom.
-            budget_bytes: 256 << 20,
-            layers: None,
-        }
+        // 256 MiB holds the full prefix set for every zoo model at
+        // CIFAR-scale inputs with plenty of headroom.
+        Self::with_budget(256 << 20)
     }
 }
 
 impl PrefixCacheConfig {
-    /// A cache with the given byte budget and no layer whitelist.
+    /// A cache with the given byte budget (`0` turns caching off).
     pub fn with_budget(budget_bytes: usize) -> Self {
-        Self {
-            budget_bytes,
-            ..Self::default()
-        }
-    }
-
-    /// Whether `layer` (an injectable-layer index) may be cached.
-    pub fn allows_layer(&self, layer: usize) -> bool {
-        self.layers.as_ref().is_none_or(|l| l.contains(&layer))
+        Self { budget_bytes }
     }
 }
 
@@ -306,15 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn config_whitelist_filters_layers() {
-        let all = PrefixCacheConfig::default();
-        assert!(all.allows_layer(7));
-        let some = PrefixCacheConfig {
-            layers: Some(vec![2, 5]),
-            ..Default::default()
-        };
-        assert!(some.allows_layer(2) && some.allows_layer(5));
-        assert!(!some.allows_layer(0));
+    fn config_is_a_byte_budget() {
+        assert_eq!(PrefixCacheConfig::default().budget_bytes, 256 << 20);
         assert_eq!(PrefixCacheConfig::with_budget(64).budget_bytes, 64);
     }
 }

@@ -434,7 +434,13 @@ proptest! {
                 .run(&CampaignConfig {
                     threads: Some(threads),
                     fusion: with_fusion.then(|| rustfi::FusionConfig::with_width(4)),
-                    prefix_cache: with_prefix.then(rustfi::PrefixCacheConfig::default),
+                    // Explicit either way: `None` would mean the default
+                    // cache on the planned legs.
+                    prefix_cache: Some(if with_prefix {
+                        rustfi::PrefixCacheConfig::default()
+                    } else {
+                        rustfi::PrefixCacheConfig::with_budget(0)
+                    }),
                     plan,
                     ..case.reference_config()
                 })
