@@ -4,7 +4,9 @@
 //! have to rerun completed trials. [`JournalWriter`] appends one JSON object
 //! per finished [`TrialRecord`] — written and flushed line-atomically, so a
 //! kill can at worst lose the line being written — and [`read_journal`]
-//! replays a journal, tolerating a truncated final line.
+//! replays a journal, tolerating a truncated final line. [`JournalTail`] is
+//! the reader underneath: it follows a growing journal and parses only the
+//! bytes appended since its previous read.
 //!
 //! Because every trial's randomness derives only from `(campaign seed, trial
 //! index)`, a resumed campaign that runs just the missing trials produces
@@ -32,9 +34,10 @@ use crate::campaign::TrialRecord;
 use crate::error::FiError;
 use crate::location::NeuronSite;
 use crate::metrics::OutcomeKind;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Journal format version this build writes and accepts.
@@ -167,9 +170,10 @@ pub fn append_heartbeat(path: &Path) -> Result<bool, FiError> {
 ///
 /// A torn *final* line — truncated mid-write, or missing its newline: the
 /// signatures of a kill — is ignored; corruption anywhere earlier is an
-/// error, as is a header that doesn't parse.
+/// error, as is a header that doesn't parse. This is one
+/// [`JournalTail::refresh`] on a fresh tail.
 pub fn read_journal(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>), FiError> {
-    let (header, records, _) = read_journal_inner(path)?;
+    let (header, records, _) = read_whole(path)?;
     Ok((header, records))
 }
 
@@ -178,7 +182,7 @@ pub fn read_journal(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>), Fi
 /// trial the torn line belonged to simply reruns (deterministically, so the
 /// rewritten record is identical).
 pub fn read_journal_repairing(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>), FiError> {
-    let (header, records, valid_len) = read_journal_inner(path)?;
+    let (header, records, valid_len) = read_whole(path)?;
     let file = OpenOptions::new()
         .write(true)
         .open(path)
@@ -198,58 +202,187 @@ pub fn read_journal_repairing(path: &Path) -> Result<(JournalHeader, Vec<TrialRe
     Ok((header, records))
 }
 
-/// Shared reader: returns the header, the valid records, and the byte length
-/// of the valid prefix (everything up to and including the last good line).
-fn read_journal_inner(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>, u64), FiError> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| FiError::io(format!("reading journal {}", path.display()), e))?;
-    let segments: Vec<&str> = text.split_inclusive('\n').collect();
+/// One refresh of a fresh [`JournalTail`]: the header, the valid records,
+/// and the byte length of the valid prefix.
+fn read_whole(path: &Path) -> Result<(JournalHeader, Vec<TrialRecord>, u64), FiError> {
+    let mut tail = JournalTail::new();
+    tail.refresh(path)?;
+    let valid_len = tail.valid_len;
+    let (header, records) = tail
+        .into_parts()
+        .expect("a successful refresh has read the header");
+    Ok((header, records, valid_len))
+}
 
-    let header_seg = *segments.first().ok_or(FiError::Journal {
-        line: 1,
-        detail: String::from("empty journal (missing header)"),
-    })?;
-    if !header_seg.ends_with('\n') {
-        return Err(FiError::Journal {
-            line: 1,
-            detail: String::from("header line was interrupted mid-write"),
-        });
+/// An incremental journal reader: each [`JournalTail::refresh`] parses only
+/// the bytes appended since the previous one, so a supervisor polling a
+/// growing journal reads every byte once instead of once per poll.
+///
+/// The tail holds the header, the records read so far, and the byte length
+/// of the valid prefix (every complete line up to and including the last
+/// good one). It applies the torn-tail rules of [`read_journal`], which is a
+/// single refresh: a final line that is incomplete or does not parse is left
+/// unconsumed, to be read again once the writer finishes it, and a bad
+/// complete line before the end is an error naming its line number.
+///
+/// Each refresh also re-reads the last line it consumed, in front of the
+/// new bytes. If those bytes changed — the file was truncated below the
+/// valid prefix, or replaced — the tail resets and reads the file from its
+/// first byte.
+#[derive(Debug, Default)]
+pub struct JournalTail {
+    header: Option<JournalHeader>,
+    records: Vec<TrialRecord>,
+    valid_len: u64,
+    /// Lines consumed so far, the header included.
+    lines: usize,
+    /// The last consumed line, newline included.
+    anchor: Vec<u8>,
+}
+
+impl JournalTail {
+    /// A tail that has read nothing yet.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let header = parse_header(header_seg.trim_end_matches('\n'))?;
-    let mut valid_len = header_seg.len() as u64;
 
-    let mut records = Vec::new();
-    for (i, seg) in segments.iter().enumerate().skip(1) {
-        let is_last = i + 1 == segments.len();
-        // A line without its newline was interrupted mid-write; only the
-        // final line may be in that state, and it doesn't count as written
-        // even if the JSON happens to parse.
-        let complete = seg.ends_with('\n');
-        match parse_journal_line(seg.trim_end_matches('\n')) {
-            Ok(JournalLine::Record(r)) if complete => {
-                records.push(r);
-                valid_len += seg.len() as u64;
-            }
-            // Heartbeats carry no trial state; they only extend the valid
-            // prefix so a repair doesn't truncate good record lines after
-            // them (there are none — heartbeats are appended, not
-            // interleaved — but the reader shouldn't depend on that).
-            Ok(JournalLine::Heartbeat) if complete => {
-                valid_len += seg.len() as u64;
-            }
-            Ok(_) | Err(_) if is_last => break,
-            Ok(_) => unreachable!("only the final segment can lack a newline"),
-            Err(detail) => {
-                return Err(FiError::Journal {
-                    line: i + 1,
-                    detail,
-                })
-            }
+    /// A tail with room for `records` records, for a caller that knows how
+    /// many the journal will hold: the record buffer then never regrows,
+    /// which keeps a long-lived tail from fragmenting the heap.
+    pub fn with_capacity(records: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(records),
+            ..Self::default()
         }
     }
-    Ok((header, records, valid_len))
+
+    /// The journal's header, once a refresh has read it.
+    pub fn header(&self) -> Option<&JournalHeader> {
+        self.header.as_ref()
+    }
+
+    /// Every record read so far, in journal order.
+    pub fn records(&self) -> &[TrialRecord] {
+        &self.records
+    }
+
+    /// Byte length of the consumed prefix: everything up to and including
+    /// the last complete, valid line.
+    pub fn valid_len(&self) -> u64 {
+        self.valid_len
+    }
+
+    /// Forgets everything read, so the next refresh starts at byte 0. The
+    /// record buffer keeps its capacity.
+    pub fn reset(&mut self) {
+        self.header = None;
+        self.records.clear();
+        self.valid_len = 0;
+        self.lines = 0;
+        self.anchor.clear();
+    }
+
+    /// The header and the records, moved out; `None` before any successful
+    /// refresh.
+    pub fn into_parts(self) -> Option<(JournalHeader, Vec<TrialRecord>)> {
+        Some((self.header?, self.records))
+    }
+
+    /// Reads whatever was appended to `path` since the last refresh and
+    /// returns the index of the first record it added: `records()[first..]`
+    /// are new, and `first` is 0 when the tail had to start over.
+    ///
+    /// On error the tail keeps what it had consumed before the call (or is
+    /// empty, if the file was found replaced), so a later refresh retries
+    /// the same bytes.
+    pub fn refresh(&mut self, path: &Path) -> Result<usize, FiError> {
+        let io_err = |e| FiError::io(format!("reading journal {}", path.display()), e);
+        let mut file = File::open(path).map_err(io_err)?;
+        let mut bytes = Vec::new();
+        let anchor_at = self.valid_len - self.anchor.len() as u64;
+        if anchor_at > 0 {
+            file.seek(SeekFrom::Start(anchor_at)).map_err(io_err)?;
+        }
+        file.read_to_end(&mut bytes).map_err(io_err)?;
+        let mut first = self.records.len();
+        let mut skip = self.anchor.len();
+        if !bytes.starts_with(&self.anchor) {
+            self.reset();
+            first = 0;
+            skip = 0;
+            bytes.clear();
+            file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+            file.read_to_end(&mut bytes).map_err(io_err)?;
+        }
+        self.consume(&bytes[skip..])?;
+        Ok(first)
+    }
+
+    /// Parses `bytes`, which start right after the consumed prefix. Commits
+    /// nothing unless every complete line before the last one is valid.
+    fn consume(&mut self, bytes: &[u8]) -> Result<(), FiError> {
+        let mut header = self.header;
+        let mut lines = self.lines;
+        let mut pos = 0;
+        let mut anchor = None;
+        if header.is_none() {
+            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
+                return Err(FiError::Journal {
+                    line: 1,
+                    detail: String::from(if bytes.is_empty() {
+                        "empty journal (missing header)"
+                    } else {
+                        "header line was interrupted mid-write"
+                    }),
+                });
+            };
+            let text = std::str::from_utf8(&bytes[..nl]).map_err(|e| FiError::Journal {
+                line: 1,
+                detail: e.to_string(),
+            })?;
+            header = Some(parse_header(text)?);
+            anchor = Some(0);
+            lines = 1;
+            pos = nl + 1;
+        }
+
+        let kept = self.records.len();
+        // A line without its newline was interrupted mid-write: it doesn't
+        // count as written even if the JSON happens to parse, so the scan
+        // stops at the last newline.
+        while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
+            let end = pos + nl + 1;
+            let parsed = std::str::from_utf8(&bytes[pos..end - 1])
+                .map_err(|e| e.to_string())
+                .and_then(parse_journal_line);
+            match parsed {
+                Ok(JournalLine::Record(r)) => self.records.push(r),
+                // Heartbeats carry no trial state; they only extend the
+                // valid prefix so a repair doesn't truncate them.
+                Ok(JournalLine::Heartbeat) => {}
+                // The final line may be a write still in flight.
+                Err(_) if end == bytes.len() => break,
+                Err(detail) => {
+                    self.records.truncate(kept);
+                    return Err(FiError::Journal {
+                        line: lines + 1,
+                        detail,
+                    });
+                }
+            }
+            anchor = Some(pos);
+            lines += 1;
+            pos = end;
+        }
+        if let Some(at) = anchor {
+            self.anchor.clear();
+            self.anchor.extend_from_slice(&bytes[at..pos]);
+        }
+        self.header = header;
+        self.lines = lines;
+        self.valid_len += pos as u64;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,20 +458,21 @@ fn escape_json_into(raw: &str, out: &mut String) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing — a minimal recursive-descent JSON reader. Numbers stay raw text.
+// Parsing — a minimal recursive-descent JSON reader. Numbers stay raw text,
+// and keys, numbers and escape-free strings borrow from the line.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+enum Json<'a> {
     Null,
     Bool(bool),
-    Num(String),
-    Str(String),
-    Obj(Vec<(String, Json)>),
+    Num(&'a str),
+    Str(Cow<'a, str>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
+impl<'a> Json<'a> {
+    fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -347,6 +481,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -354,6 +489,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Self {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -387,7 +523,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Json, String> {
+    fn parse_value(&mut self) -> Result<Json<'a>, String> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.parse_object(),
@@ -400,7 +536,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Json, String> {
+    fn parse_object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -427,54 +563,61 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
+    /// Reads a string in one pass. `"` and `\\` never occur inside a
+    /// multi-byte UTF-8 sequence, so the runs between them slice the line
+    /// on character boundaries; a string without escapes is borrowed whole.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(String::from("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("invalid \\u escape")?;
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
+            let run_start = self.pos;
+            let Some(len) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err(String::from("unterminated string"));
+            };
+            self.pos += len;
+            let run = &self.text[run_start..self.pos];
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = std::str::from_utf8(hex)
+                        .ok()
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or("invalid \\u escape")?;
+                    s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            }
+            self.pos += 1;
         }
     }
 
-    fn parse_number(&mut self) -> String {
+    fn parse_number(&mut self) -> &'a str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -483,7 +626,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+        &self.text[start..self.pos]
     }
 
     fn at_end(&mut self) -> bool {
@@ -492,7 +635,7 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn parse_line(line: &str) -> Result<Json, String> {
+fn parse_line(line: &str) -> Result<Json<'_>, String> {
     let mut p = Parser::new(line);
     let v = p.parse_value()?;
     if !p.at_end() {
@@ -508,7 +651,7 @@ fn num_as<T: std::str::FromStr>(v: &Json, what: &str) -> Result<T, String> {
     }
 }
 
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn field<'a, 'j>(obj: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, String> {
     obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
@@ -579,14 +722,14 @@ fn record_from_json(obj: &Json) -> Result<TrialRecord, String> {
         other => return Err(format!("site is neither object nor null: {other:?}")),
     };
     let outcome = match field(obj, "outcome")? {
-        Json::Str(label) => match label.as_str() {
+        Json::Str(label) => match label.as_ref() {
             "masked" => OutcomeKind::Masked,
             "sdc" => OutcomeKind::Sdc,
             "due" => OutcomeKind::Due,
             "hang" => OutcomeKind::Hang,
             "crash" => OutcomeKind::Crash {
                 detail: match obj.get("detail") {
-                    Some(Json::Str(d)) => d.clone(),
+                    Some(Json::Str(d)) => d.to_string(),
                     _ => String::new(),
                 },
             },
@@ -842,6 +985,152 @@ mod tests {
         let (_, rs) = read_journal_repairing(&path).unwrap();
         assert_eq!(rs, records[..2]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
+    }
+
+    /// Header, records, heartbeats and a torn final line, as a killed
+    /// worker's journal looks.
+    fn journal_bytes(corrupt_line: bool) -> Vec<u8> {
+        let records = sample_records();
+        let mut text = String::from(
+            "{\"rustfi_journal\":2,\"seed\":6,\"trials\":4,\"config\":1,\"shard\":0,\"shards\":1}\n",
+        );
+        for (i, r) in records.iter().enumerate() {
+            text.push_str(&record_to_json(r));
+            text.push('\n');
+            if i == 1 {
+                text.push_str("{\"heartbeat\":1700000000000}\n");
+            }
+            if corrupt_line && i == 2 {
+                text.push_str("{\"trial\":9,\"oops\n");
+            }
+        }
+        text.push_str("{\"heartbeat\":17");
+        text.into_bytes()
+    }
+
+    #[test]
+    fn tail_grown_byte_by_byte_matches_one_shot_reads() {
+        for corrupt_line in [false, true] {
+            let path = tmp(&format!("tail-grow-{corrupt_line}.jsonl"));
+            let bytes = journal_bytes(corrupt_line);
+            std::fs::write(&path, b"").unwrap();
+            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut tail = JournalTail::new();
+            let mut errors = 0;
+            let mut last_ok = 0;
+            for end in 0..=bytes.len() {
+                if end > 0 {
+                    file.write_all(&bytes[end - 1..end]).unwrap();
+                }
+                let incremental = tail.refresh(&path);
+                match read_whole(&path) {
+                    Ok((header, records, valid_len)) => {
+                        assert!(incremental.is_ok(), "prefix {end}: {incremental:?}");
+                        assert_eq!(tail.header(), Some(&header), "prefix {end}");
+                        assert_eq!(tail.records(), &records[..], "prefix {end}");
+                        assert_eq!(tail.valid_len(), valid_len, "prefix {end}");
+                        last_ok = records.len();
+                    }
+                    Err(e) => {
+                        assert_eq!(incremental, Err(e.clone()), "prefix {end}");
+                        assert_eq!(
+                            tail.records().len(),
+                            last_ok,
+                            "a failed refresh adds nothing"
+                        );
+                        if matches!(e, FiError::Journal { line, .. } if line > 1) {
+                            assert!(corrupt_line, "prefix {end}: {e}");
+                            assert!(
+                                matches!(e, FiError::Journal { line: 6, .. }),
+                                "the corrupt line is line 6: {e}"
+                            );
+                            errors += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(tail.records().len() == 4, !corrupt_line);
+            // One refresh over several lines that ends in an error keeps
+            // none of the records it parsed on the way.
+            let mut fresh = JournalTail::new();
+            assert_eq!(fresh.refresh(&path).is_err(), corrupt_line);
+            assert_eq!(fresh.records().is_empty(), corrupt_line);
+            assert_eq!(errors > 0, corrupt_line, "the corrupt line was reached");
+        }
+    }
+
+    #[test]
+    fn tail_resets_when_the_file_is_truncated_or_recreated() {
+        let path = tmp("tail-reset.jsonl");
+        let records = sample_records();
+        let mut w = JournalWriter::create(&path, JournalHeader::solo(7, 4, 0)).unwrap();
+        w.append(&records[0], &path).unwrap();
+        let mut tail = JournalTail::new();
+        assert_eq!(tail.refresh(&path).unwrap(), 0);
+        let one_record = tail.valid_len();
+        for r in &records[1..] {
+            w.append(r, &path).unwrap();
+        }
+        drop(w);
+        assert_eq!(tail.refresh(&path).unwrap(), 1, "only the appended records");
+        assert_eq!(tail.records(), &records[..]);
+        assert_eq!(tail.refresh(&path).unwrap(), 4, "nothing new");
+
+        // Truncated below the consumed prefix: start over.
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(one_record)
+            .unwrap();
+        assert_eq!(tail.refresh(&path).unwrap(), 0, "restarted from byte 0");
+        assert_eq!(tail.records(), &records[..1]);
+        assert_eq!(tail.valid_len(), one_record);
+
+        // Recreated longer, for another campaign: the anchor line no longer
+        // matches, so the new header and records are read from the start.
+        let mut w = JournalWriter::create(&path, JournalHeader::solo(8, 4, 0)).unwrap();
+        for r in records.iter().rev() {
+            w.append(r, &path).unwrap();
+        }
+        drop(w);
+        assert_eq!(tail.refresh(&path).unwrap(), 0);
+        assert_eq!(tail.header().map(|h| h.seed), Some(8));
+        let reversed: Vec<TrialRecord> = records.iter().rev().cloned().collect();
+        assert_eq!(tail.records(), &reversed[..]);
+        assert_eq!(read_journal(&path).unwrap().1, reversed);
+
+        // Removed: an I/O error that leaves the tail as it was.
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(tail.refresh(&path), Err(FiError::Io { .. })));
+        assert_eq!(tail.records().len(), 4);
+    }
+
+    #[test]
+    fn long_crash_details_with_escapes_and_multibyte_text_roundtrip() {
+        let escaped = "panic: \"é\" at 日本\nline \u{1}\t\\ tail ".repeat(40);
+        let plain = "ошибка 日本語 é ".repeat(40);
+        for detail in [escaped, plain] {
+            let r = TrialRecord {
+                trial: 7,
+                image_index: 1,
+                layer: 3,
+                site: None,
+                outcome: OutcomeKind::Crash {
+                    detail: detail.clone(),
+                },
+                due_layer: None,
+                top5_miss: true,
+                confidence_delta: 0.0,
+            };
+            let line = record_to_json(&r);
+            assert_eq!(parse_record(&line).unwrap(), r, "{detail:?}");
+            let path = tmp("crash-detail.jsonl");
+            let mut w = JournalWriter::create(&path, JournalHeader::solo(1, 8, 0)).unwrap();
+            w.append(&r, &path).unwrap();
+            drop(w);
+            assert_eq!(read_journal(&path).unwrap().1, vec![r]);
+        }
     }
 
     #[test]

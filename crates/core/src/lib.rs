@@ -72,12 +72,15 @@ pub use config::FiConfig;
 pub use error::FiError;
 pub use injector::{FaultInjector, NeuronFault, QuantMode, WeightFault};
 pub use journal::{
-    append_heartbeat, read_journal, read_journal_repairing, JournalHeader, JournalWriter,
-    JOURNAL_VERSION,
+    append_heartbeat, read_journal, read_journal_repairing, JournalHeader, JournalTail,
+    JournalWriter, JOURNAL_VERSION,
 };
 pub use location::{BatchSelect, NeuronSelect, NeuronSite, WeightSelect, WeightSite};
 pub use metrics::{classify_outcome, OutcomeCounts, OutcomeKind};
 pub use perturbation::{PerturbCtx, PerturbationModel};
 pub use prefix::{PrefixCache, PrefixCacheConfig, PrefixStats};
 pub use profile::{LayerProfile, ModelProfile};
-pub use shard::{config_fingerprint, merge_shard_journals, plan_shards, MergedCampaign, ShardSpec};
+pub use shard::{
+    config_fingerprint, merge_read_journals, merge_shard_journals, plan_shards, MergedCampaign,
+    ShardJournal, ShardSpec,
+};

@@ -24,7 +24,6 @@ use crate::campaign::{CampaignConfig, FaultMode, TrialRecord};
 use crate::error::FiError;
 use crate::journal::{read_journal, JournalHeader};
 use crate::metrics::{OutcomeCounts, OutcomeKind};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// One shard of a campaign's trial space: trials `start..end` of `trials`
@@ -176,115 +175,169 @@ impl MergedCampaign {
 /// journals of a 5-shard run and a 2-shard run of the same campaign yields
 /// the same records, which is what makes restarting a fleet at a different
 /// width safe.
+///
+/// This reads every journal with [`read_journal`], then hands them to
+/// [`merge_read_journals`]; a caller that already holds the journals (the
+/// fleet orchestrator's tails) merges them without reading again.
 pub fn merge_shard_journals(paths: &[PathBuf]) -> Result<MergedCampaign, FiError> {
-    let mut identity: Option<JournalHeader> = None;
-    let mut seen_shards: Vec<usize> = Vec::new();
-    let mut merged: BTreeMap<usize, TrialRecord> = BTreeMap::new();
+    let mut journals = Vec::with_capacity(paths.len());
     for path in paths {
-        let (header, records) = match read_journal(path) {
-            Ok(ok) => ok,
+        match read_journal(path) {
+            Ok((header, records)) => journals.push(ShardJournal {
+                path: path.clone(),
+                header,
+                records,
+            }),
             // A shard that never got far enough to write its journal is a
             // gap to report, not a merge failure.
-            Err(FiError::Io { ref source, .. })
-                if source.kind() == std::io::ErrorKind::NotFound =>
-            {
-                continue;
-            }
+            Err(e) if is_missing_journal(&e) => {}
             Err(e) => return Err(e),
-        };
-        match &identity {
-            None => identity = Some(header),
-            Some(id) => {
-                if (id.seed, id.trials, id.config_hash, id.shard_count)
-                    != (
-                        header.seed,
-                        header.trials,
-                        header.config_hash,
-                        header.shard_count,
-                    )
-                {
-                    return Err(FiError::Journal {
-                        line: 1,
-                        detail: format!(
-                            "{} belongs to a different campaign: its header records seed {} \
-                             over {} trials (config {:#018x}, {} shards), the first journal \
-                             records seed {} over {} trials (config {:#018x}, {} shards)",
-                            path.display(),
-                            header.seed,
-                            header.trials,
-                            header.config_hash,
-                            header.shard_count,
-                            id.seed,
-                            id.trials,
-                            id.config_hash,
-                            id.shard_count
-                        ),
-                    });
-                }
-            }
-        }
-        seen_shards.push(header.shard_index);
-        for r in records {
-            if r.trial >= header.trials {
-                return Err(FiError::Journal {
-                    line: 1,
-                    detail: format!(
-                        "{} records trial {} outside the campaign's {} trials",
-                        path.display(),
-                        r.trial,
-                        header.trials
-                    ),
-                });
-            }
-            match merged.get(&r.trial) {
-                None => {
-                    merged.insert(r.trial, r);
-                }
-                // Shards are deterministic, so overlapping journals (e.g. a
-                // restarted shard's old and new journal) must agree exactly.
-                Some(existing) if *existing == r => {}
-                Some(_) => {
-                    return Err(FiError::Journal {
-                        line: 1,
-                        detail: format!(
-                            "{} disagrees with another shard about trial {} — the journals \
-                             come from diverging campaign configurations",
-                            path.display(),
-                            r.trial
-                        ),
-                    });
-                }
-            }
         }
     }
-    let identity = identity.ok_or(FiError::Journal {
+    merge_read_journals(journals)
+}
+
+/// Whether `err` says a journal file does not exist. [`merge_shard_journals`]
+/// reports such a shard as a gap instead of failing.
+pub fn is_missing_journal(err: &FiError) -> bool {
+    matches!(err, FiError::Io { source, .. } if source.kind() == std::io::ErrorKind::NotFound)
+}
+
+/// One shard journal already read into memory, with the path it was read
+/// from (merge errors name it).
+#[derive(Debug, Clone)]
+pub struct ShardJournal {
+    /// Where the journal was read from.
+    pub path: PathBuf,
+    /// Its header.
+    pub header: JournalHeader,
+    /// Its records, in journal order.
+    pub records: Vec<TrialRecord>,
+}
+
+/// The merge behind [`merge_shard_journals`], over journals already read.
+///
+/// Consumes the journals: their records move into the report, so the merge
+/// never holds a second copy of them. It applies every check of
+/// [`merge_shard_journals`]; when one input breaks several rules, header
+/// and trial-range faults are reported before conflicting duplicates.
+pub fn merge_read_journals(journals: Vec<ShardJournal>) -> Result<MergedCampaign, FiError> {
+    let identity = journals.first().map(|j| j.header).ok_or(FiError::Journal {
         line: 1,
         detail: String::from("no shard journal could be read; nothing to merge"),
     })?;
+    let mut seen_shards: Vec<usize> = Vec::with_capacity(journals.len());
+    let mut paths: Vec<PathBuf> = Vec::with_capacity(journals.len());
+    // Each record is tagged with the index of its journal, so a conflict
+    // can name the journal that disagrees.
+    let mut tagged: Vec<(usize, TrialRecord)> =
+        Vec::with_capacity(journals.iter().map(|j| j.records.len()).sum());
+    for (source, journal) in journals.into_iter().enumerate() {
+        let ShardJournal {
+            path,
+            header,
+            records,
+        } = journal;
+        if (
+            identity.seed,
+            identity.trials,
+            identity.config_hash,
+            identity.shard_count,
+        ) != (
+            header.seed,
+            header.trials,
+            header.config_hash,
+            header.shard_count,
+        ) {
+            return Err(FiError::Journal {
+                line: 1,
+                detail: format!(
+                    "{} belongs to a different campaign: its header records seed {} \
+                     over {} trials (config {:#018x}, {} shards), the first journal \
+                     records seed {} over {} trials (config {:#018x}, {} shards)",
+                    path.display(),
+                    header.seed,
+                    header.trials,
+                    header.config_hash,
+                    header.shard_count,
+                    identity.seed,
+                    identity.trials,
+                    identity.config_hash,
+                    identity.shard_count
+                ),
+            });
+        }
+        if let Some(r) = records.iter().find(|r| r.trial >= header.trials) {
+            return Err(FiError::Journal {
+                line: 1,
+                detail: format!(
+                    "{} records trial {} outside the campaign's {} trials",
+                    path.display(),
+                    r.trial,
+                    header.trials
+                ),
+            });
+        }
+        seen_shards.push(header.shard_index);
+        tagged.extend(records.into_iter().map(|r| (source, r)));
+        paths.push(path);
+    }
+
+    // Shards are contiguous trial ranges written in order, so this sort
+    // mostly confirms runs that are already sorted. Within one trial the
+    // earliest journal's copy comes first and is the one kept.
+    tagged.sort_unstable_by_key(|(source, r)| (r.trial, *source));
+    let mut conflict: Option<(usize, usize)> = None;
+    tagged.dedup_by(|(source, later), (_, kept)| {
+        if later.trial != kept.trial {
+            return false;
+        }
+        // Shards are deterministic, so overlapping journals (e.g. a
+        // restarted shard's old and new journal) must agree exactly.
+        if later != kept {
+            let found = (*source, later.trial);
+            conflict = Some(conflict.map_or(found, |c| c.min(found)));
+        }
+        true
+    });
+    if let Some((source, trial)) = conflict {
+        return Err(FiError::Journal {
+            line: 1,
+            detail: format!(
+                "{} disagrees with another shard about trial {} — the journals \
+                 come from diverging campaign configurations",
+                paths[source].display(),
+                trial
+            ),
+        });
+    }
+    let records: Vec<TrialRecord> = tagged.into_iter().map(|(_, r)| r).collect();
 
     // A shard is complete when every trial of its planned range has a
     // record. The plan is recomputed here — it is a pure function of
-    // (trials, shard count), which is exactly why it can be.
+    // (trials, shard count), which is exactly why it can be. `records` is
+    // sorted and duplicate-free, so counting a range's records suffices.
     let plan = plan_shards(identity.trials, identity.shard_count);
     let missing_shards: Vec<usize> = plan
         .iter()
         .filter(|spec| {
-            !seen_shards.contains(&spec.index)
-                || (spec.start..spec.end).any(|t| !merged.contains_key(&t))
+            let lo = records.partition_point(|r| r.trial < spec.start);
+            let hi = records.partition_point(|r| r.trial < spec.end);
+            !seen_shards.contains(&spec.index) || hi - lo < spec.trials()
         })
         .map(|spec| spec.index)
         .collect();
-    let missing_trials = identity.trials - merged.len();
+    let missing_trials = identity.trials - records.len();
 
     let mut counts = OutcomeCounts::default();
-    let layer_count = merged
-        .values()
+    let layer_count = records
+        .iter()
         .filter(|r| r.layer != usize::MAX)
         .map(|r| r.layer + 1)
         .max()
         .unwrap_or(0);
     let mut per_layer = vec![(0usize, 0usize); layer_count];
-    for r in merged.values() {
+    for r in &records {
         counts.record(&r.outcome);
         if r.layer < per_layer.len() {
             per_layer[r.layer].0 += 1;
@@ -298,7 +351,7 @@ pub fn merge_shard_journals(paths: &[PathBuf]) -> Result<MergedCampaign, FiError
         trials: identity.trials,
         config_hash: identity.config_hash,
         shard_count: identity.shard_count,
-        records: merged.into_values().collect(),
+        records,
         counts,
         per_layer,
         missing_shards,

@@ -29,13 +29,20 @@
 //!
 //! The orchestrator is a dependency-free poll loop over
 //! [`std::process::Child`] handles — no async runtime — which keeps the
-//! fleet layer as auditable as the journal format it builds on.
+//! fleet layer as auditable as the journal format it builds on. Each shard
+//! keeps a [`rustfi::JournalTail`]: a poll in which the journal grew parses
+//! only the bytes appended since the previous one, so every journal byte is
+//! parsed once per run rather than once per poll. The final report merges
+//! the records the tails already hold ([`rustfi::shard::merge_read_journals`])
+//! instead of reading the journals again; the merge applies the same checks
+//! as [`rustfi::shard::merge_shard_journals`], with the same errors.
 
 use rustfi::campaign::{ProgressRecorder, ProgressUpdate};
-use rustfi::shard::{merge_shard_journals, plan_shards, MergedCampaign, ShardSpec};
+use rustfi::shard::{
+    is_missing_journal, merge_read_journals, plan_shards, MergedCampaign, ShardJournal, ShardSpec,
+};
 use rustfi::{
-    append_heartbeat, read_journal, Campaign, CampaignConfig, CampaignResult, FiError,
-    OutcomeCounts,
+    append_heartbeat, Campaign, CampaignConfig, CampaignResult, FiError, JournalTail, OutcomeCounts,
 };
 use rustfi_obs::{
     flight_path, names as obs_names, FanoutRecorder, FlightRecorder, MergedTelemetry, Recorder,
@@ -395,7 +402,9 @@ struct ShardState {
     launch_at: Option<Instant>,
     last_len: u64,
     last_activity: Instant,
-    records: usize,
+    /// The journal read so far; each poll parses only what was appended.
+    tail: JournalTail,
+    /// Outcome totals over the tail's records.
     counts: OutcomeCounts,
     attempt: usize,
     chaos_fired: bool,
@@ -408,8 +417,12 @@ impl ShardState {
         !self.done && !self.abandoned
     }
 
-    /// Re-reads the shard journal if it grew; growth (records or
-    /// heartbeats) is the liveness signal.
+    fn records(&self) -> usize {
+        self.tail.records().len()
+    }
+
+    /// Reads what was appended to the shard journal if it grew; growth
+    /// (records or heartbeats) is the liveness signal.
     fn observe(&mut self, now: Instant) {
         let Ok(meta) = std::fs::metadata(&self.path) else {
             return;
@@ -419,17 +432,23 @@ impl ShardState {
         }
         self.last_len = meta.len();
         self.last_activity = now;
-        // Tolerant read: a worker may be mid-append (torn tail) — that's
-        // fine — and a just-created file may not have its header yet, which
-        // read_journal reports as an error we simply skip this poll.
-        if let Ok((_, records)) = read_journal(&self.path) {
-            let mut counts = OutcomeCounts::default();
-            for r in &records {
-                counts.record(&r.outcome);
-            }
-            self.records = records.len();
-            self.counts = counts;
+        // Tolerant read: a worker may be mid-append (torn tail) — the tail
+        // leaves that line for the next poll — and a just-created file may
+        // not have its header yet, which is an error we simply skip this
+        // poll.
+        let _ = self.refresh();
+    }
+
+    /// Brings the tail up to date and folds its new records into `counts`.
+    fn refresh(&mut self) -> Result<(), FiError> {
+        let first = self.tail.refresh(&self.path)?;
+        if first == 0 {
+            self.counts = OutcomeCounts::default();
         }
+        for r in &self.tail.records()[first..] {
+            self.counts.record(&r.outcome);
+        }
+        Ok(())
     }
 
     /// Books one failure: schedules a backed-off relaunch while budget
@@ -491,7 +510,7 @@ where
                 launch_at: Some(start),
                 last_len: 0,
                 last_activity: start,
-                records: 0,
+                tail: JournalTail::with_capacity(spec.trials()),
                 counts: OutcomeCounts::default(),
                 attempt: 0,
                 chaos_fired: false,
@@ -501,14 +520,14 @@ where
             s.observe(start);
             // A shard whose journal already covers its whole range (a rerun
             // orchestrator over a finished fleet) needs no worker at all.
-            if s.records >= s.spec.trials() && s.last_len > 0 {
+            if s.records() >= s.spec.trials() && s.last_len > 0 {
                 s.done = true;
                 s.launch_at = None;
             }
             s
         })
         .collect();
-    let resumed: usize = shards.iter().map(|s| s.records).sum();
+    let resumed: usize = shards.iter().map(ShardState::records).sum();
     let (mut spawns, mut restarts, mut hung_kills) = (0u64, 0u64, 0u64);
     let mut last_reported = usize::MAX;
 
@@ -528,7 +547,7 @@ where
                     if chaos.shard == s.spec.index
                         && s.attempt == 1
                         && !s.chaos_fired
-                        && s.records >= chaos.after_records
+                        && s.tail.records().len() >= chaos.after_records
                     {
                         s.chaos_fired = true;
                         let _ = child.kill(); // SIGKILL on unix
@@ -557,6 +576,13 @@ where
                 }
             } else if s.launch_at.is_some_and(|t| now >= t) {
                 s.launch_at = None;
+                // A dead worker's journal is read afresh before its
+                // successor repairs and resumes it, rather than trusting
+                // bytes consumed from the previous attempt.
+                if s.attempt > 0 {
+                    s.tail.reset();
+                    let _ = s.refresh();
+                }
                 match launch(&s.spec, &s.path, s.attempt) {
                     Ok(child) => {
                         s.child = Some(child);
@@ -569,7 +595,7 @@ where
             }
         }
 
-        let done: usize = shards.iter().map(|s| s.records).sum();
+        let done: usize = shards.iter().map(ShardState::records).sum();
         if let Some(pr) = &cfg.progress {
             if done != last_reported {
                 last_reported = done;
@@ -614,7 +640,7 @@ where
             shard: s.spec.index,
             restarts: s.attempt.saturating_sub(1),
             last_activity_age: now.duration_since(s.last_activity),
-            records: s.records,
+            records: s.records(),
             trials: s.spec.trials(),
         })
         .collect();
@@ -639,11 +665,29 @@ where
         r.counter_add(obs_names::FLEET_HUNG_KILLS, hung_kills);
         r.counter_add(obs_names::FLEET_ABANDONED, abandoned.len() as u64);
     }
-    let paths: Vec<PathBuf> = shards.iter().map(|s| s.path.clone()).collect();
-    let merged = if paths.iter().any(|p| p.exists()) {
-        Some(merge_shard_journals(&paths)?)
-    } else {
+    // Merge what the tails already hold, moving their records; one last
+    // refresh per tail applies the strict rules of
+    // `rustfi::shard::merge_shard_journals`: a corrupt journal fails the
+    // report, a missing one is a gap.
+    let mut journals = Vec::with_capacity(shards.len());
+    for s in &mut shards {
+        match s.refresh() {
+            Ok(()) => {}
+            Err(e) if is_missing_journal(&e) => continue,
+            Err(e) => return Err(e),
+        }
+        if let Some((header, records)) = std::mem::take(&mut s.tail).into_parts() {
+            journals.push(ShardJournal {
+                path: s.path.clone(),
+                header,
+                records,
+            });
+        }
+    }
+    let merged = if journals.is_empty() {
         None
+    } else {
+        Some(merge_read_journals(journals)?)
     };
     Ok(FleetReport {
         merged,
@@ -711,6 +755,21 @@ mod tests {
         staged
     }
 
+    /// The report `orchestrate` merged from its tails must equal a fresh
+    /// `merge_shard_journals` over the journal files it left behind.
+    fn assert_merge_matches_files(merged: &MergedCampaign, dir: &Path, shards: usize) {
+        let paths: Vec<PathBuf> = plan_shards(merged.trials, shards)
+            .iter()
+            .map(|s| s.journal_path(dir))
+            .collect();
+        let reread = rustfi::merge_shard_journals(&paths).unwrap();
+        assert_eq!(merged.records, reread.records);
+        assert_eq!(merged.counts, reread.counts);
+        assert_eq!(merged.missing_shards, reread.missing_shards);
+        assert_eq!(merged.missing_trials, reread.missing_trials);
+        assert_eq!(*merged, reread);
+    }
+
     fn fast_cfg(trials: usize, shards: usize, dir: PathBuf) -> FleetConfig {
         let mut cfg = FleetConfig::new(trials, shards, dir);
         cfg.poll_interval = Duration::from_millis(10);
@@ -729,7 +788,7 @@ mod tests {
             .iter()
             .map(|s| stage_shard(&dir, s, trials))
             .collect();
-        let report = orchestrate(&fast_cfg(trials, 3, dir), |spec, path, _attempt| {
+        let report = orchestrate(&fast_cfg(trials, 3, dir.clone()), |spec, path, _attempt| {
             Command::new("cp")
                 .arg(&staged[spec.index])
                 .arg(path)
@@ -742,6 +801,7 @@ mod tests {
         let merged = report.merged.unwrap();
         assert_eq!(merged.records.len(), trials);
         assert_eq!(merged.counts.masked, trials);
+        assert_merge_matches_files(&merged, &dir, 3);
     }
 
     #[test]
@@ -752,10 +812,15 @@ mod tests {
             .iter()
             .map(|s| stage_shard(&dir, s, trials))
             .collect();
-        let report = orchestrate(&fast_cfg(trials, 2, dir), |spec, path, attempt| {
+        let report = orchestrate(&fast_cfg(trials, 2, dir.clone()), |spec, path, attempt| {
             if spec.index == 1 && attempt == 0 {
-                // First launch of shard 1 dies immediately.
-                Command::new("false").spawn()
+                // First launch of shard 1 dies after writing its header and
+                // a torn record; the restart rewrites the whole journal.
+                Command::new("sh")
+                    .args(["-c", "head -c 150 \"$0\" > \"$1\"; exit 1"])
+                    .arg(&staged[spec.index])
+                    .arg(path)
+                    .spawn()
             } else {
                 Command::new("cp")
                     .arg(&staged[spec.index])
@@ -767,6 +832,7 @@ mod tests {
         assert!(report.is_complete(), "{report:?}");
         assert!(report.restarts >= 1);
         assert_eq!(report.spawns, 3, "2 first launches + 1 restart");
+        assert_merge_matches_files(report.merged.as_ref().unwrap(), &dir, 2);
     }
 
     #[test]
@@ -942,7 +1008,7 @@ mod tests {
             JournalWriter::create(&path, JournalHeader::solo(1, 1, 0)).unwrap();
             std::thread::sleep(Duration::from_millis(120));
         } // drop stops the thread
-        let (_, records) = read_journal(&path).unwrap();
+        let (_, records) = rustfi::read_journal(&path).unwrap();
         assert!(records.is_empty(), "heartbeats are not records");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(

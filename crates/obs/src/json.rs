@@ -162,12 +162,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input came from &str, so this
-                // boundary arithmetic is safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Those
+                // bytes never occur inside a multi-byte UTF-8 sequence, so a
+                // run of the &str input ends on a character boundary.
+                let len = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *pos);
+                let run = std::str::from_utf8(&b[*pos..*pos + len]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
